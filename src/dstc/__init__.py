@@ -59,6 +59,7 @@ from .relay_channel_sim import (
     PowerAllocation,
     ReceivedSignal,
     SimConfig,
+    decoder_layout,
     dstc_matrix,
     estimate_diversity,
     group_ml_decode,

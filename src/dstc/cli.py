@@ -38,9 +38,9 @@ from .diversity_analyzer import (
     enumerate_codebook,
     optimize_rotation,
 )
-from .dmg_analysis import channel_stat_samples, empirical_outage, ks_two_sample
+from .dmg_analysis import OUTAGE_SEED_STRIDE, channel_stat_samples, empirical_outage, ks_two_sample
 from .errors import ParameterError
-from .relay_channel_sim import SimConfig, monte_carlo_ber
+from .relay_channel_sim import SimConfig, decoder_layout, monte_carlo_ber
 
 _CUW_FAMILIES = {"cuw2", "cuw4", "cuw8", "clifford4"}
 
@@ -85,7 +85,9 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _write_manifest(path: str, command: str, config: dict, started: float, hashes: dict) -> None:
+def _write_manifest(
+    path: str, command: str, config: dict, started: float, hashes: dict, extra: dict | None = None
+) -> None:
     config = {k: v for k, v in config.items() if k not in ("started", "manifest")}
     manifest = {
         "command": command,
@@ -94,6 +96,7 @@ def _write_manifest(path: str, command: str, config: dict, started: float, hashe
         "tolerances": {"rank": config.get("tol_rank"), "diag": config.get("tol_diag")},
         "version": __version__,
         "wall_clock_s": round(time.time() - started, 3),
+        **(extra or {}),
     }
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -236,14 +239,25 @@ def cmd_simulate(args) -> int:
             "bundle": _sha256(json.dumps(lib.to_bundle(code), sort_keys=True).encode()),
             "csv": _sha256(text.encode()),
         },
+        {"decoder": decoder_layout(code, con).summary()},
     )
     return 0
 
 
+_DMG_OUTAGE_OFFSET = 104729  # seed offset of the outage run without phase compensation
+
+
 def cmd_dmg(args) -> int:
+    top = _DMG_OUTAGE_OFFSET + OUTAGE_SEED_STRIDE * max(len(args.rho) - 1, 0)  # largest seed offset used
+    if not 0 <= args.seed < (1 << 64) - top:
+        raise ParameterError(
+            f"--seed must lie in [0, {(1 << 64) - 1 - top}] with {len(args.rho)} rho values, got {args.seed}"
+        )
     lines = ["rho,ks_stat,reject,outage_phase_csi,outage_full_f"]
     outage_a = empirical_outage(args.relays, args.rho, args.rate, args.samples, args.seed, True)
-    outage_b = empirical_outage(args.relays, args.rho, args.rate, args.samples, args.seed + 104729, False)
+    outage_b = empirical_outage(
+        args.relays, args.rho, args.rate, args.samples, args.seed + _DMG_OUTAGE_OFFSET, False
+    )
     for k, rho in enumerate(args.rho):
         a = channel_stat_samples(args.relays, rho, args.samples, True, args.seed + 2 * k).values
         b = channel_stat_samples(args.relays, rho, args.samples, False, args.seed + 2 * k + 1).values
@@ -358,7 +372,8 @@ def main(argv=None) -> int:
             return 2
         for key, value in defaults.items():
             attr = key.replace("-", "_")
-            explicit = f"--{key.replace('_', '-')}" in argv
+            flag = f"--{key.replace('_', '-')}"
+            explicit = any(tok == flag or tok.startswith(flag + "=") for tok in argv)
             if hasattr(args, attr) and not explicit:
                 setattr(args, attr, value)
     args.started = time.time()

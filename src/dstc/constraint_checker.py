@@ -45,7 +45,8 @@ def dispersion_matrix(pair: RelayMatrixPair) -> np.ndarray:
     """
     ai, aq = pair.a.real, pair.a.imag
     bi, bq = pair.b.real, pair.b.imag
-    return np.block([[ai + bi, -aq + bq], [aq + bq, ai - bi]])
+    top = np.concatenate([ai + bi, -aq + bq], axis=1)
+    return np.concatenate([top, np.concatenate([aq + bq, ai - bi], axis=1)])
 
 
 def diagonal_gram(m, tol: float = DIAG_TOL) -> bool:

@@ -36,12 +36,15 @@ class Constellation:
 
     name: str
     points: tuple[complex, ...]
+    labels: tuple[int, ...] | None = None  # bit label per point; None: Gray code of the point index
 
     def __post_init__(self):
         if not self.points:
             raise ParameterError("constellation must be nonempty")
         if len(set(self.points)) != len(self.points):
             raise ParameterError("constellation points must be distinct")
+        if self.labels is not None and sorted(self.labels) != list(range(len(self.points))):
+            raise ParameterError("bit labels must be a permutation of the point indices")
 
     @property
     def size(self) -> int:
@@ -54,12 +57,19 @@ class Constellation:
             raise ParameterError("bit labeling requires a power-of-two constellation")
         return n.bit_length() - 1
 
+    @property
+    def bit_labels(self) -> tuple[int, ...]:
+        """Bit label of each point; the default i ^ (i >> 1) suits points listed around a circle."""
+        if self.labels is not None:
+            return self.labels
+        return tuple(i ^ (i >> 1) for i in range(self.size))
+
     def mean_energy(self) -> float:
         return float(np.mean(np.abs(np.asarray(self.points)) ** 2))
 
     def normalized(self) -> "Constellation":
         scale = 1.0 / np.sqrt(self.mean_energy())
-        return Constellation(self.name, tuple(complex(p * scale) for p in self.points))
+        return Constellation(self.name, tuple(complex(p * scale) for p in self.points), self.labels)
 
     @staticmethod
     def bpsk() -> "Constellation":
@@ -74,7 +84,9 @@ class Constellation:
     def qam16() -> "Constellation":
         levels = (-3, -1, 1, 3)
         pts = tuple((a + 1j * b) / np.sqrt(10) for a in levels for b in levels)
-        return Constellation("qam16", pts)
+        gray = (0, 1, 3, 2)  # per-axis Gray code: neighbours on the grid differ in one bit
+        labels = tuple(gray[i] << 2 | gray[q] for i in range(4) for q in range(4))
+        return Constellation("qam16", pts, labels)
 
 
 _CONSTELLATIONS = {

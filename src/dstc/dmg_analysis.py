@@ -23,6 +23,7 @@ from .errors import ParameterError
 
 # asymptotic two-sample critical coefficients c(alpha)
 _KS_COEFF = {0.10: 1.224, 0.05: 1.358, 0.01: 1.628}
+OUTAGE_SEED_STRIDE = 7919  # empirical_outage draws rho number k from seed + k * stride
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,8 @@ def channel_stat_samples(
     """
     if n < 1:
         raise ParameterError("need at least one sample")
+    if not 0 <= seed < 1 << 64:
+        raise ParameterError(f"seed must lie in [0, 2**64), got {seed}")
     out = np.empty(n)
     nchunks = (n + chunk - 1) // chunk
     for ci in range(nchunks):
@@ -102,7 +105,7 @@ def empirical_outage(
     """Fraction of draws with log2(statistic) < rate * log2(rho), per rho."""
     out = []
     for k, rho in enumerate(rho_grid):
-        sample = channel_stat_samples(n_relays, float(rho), n, partial_csi, seed + 7919 * k)
+        sample = channel_stat_samples(n_relays, float(rho), n, partial_csi, seed + OUTAGE_SEED_STRIDE * k)
         threshold = rate * np.log2(max(float(rho), 1e-300))
         out.append(float(np.mean(np.log2(sample.values) < threshold)))
     return np.asarray(out)

@@ -492,6 +492,13 @@ class SimConfig:
             raise ParameterError("need one trial count per SNR point")
         if self.chunk < 1 or self.threads < 1:
             raise ParameterError("chunk size and thread count must be positive")
+        if any(t < 1 for t in self.trials):
+            raise ParameterError("trial counts must be positive")
+        # RNG streams are keyed (seed, snr index << 32 | chunk index), all uint64
+        if not 0 <= self.seed < 1 << 64:
+            raise ParameterError(f"seed must lie in [0, 2**64), got {self.seed}")
+        if len(self.snr_db) > 1 << 32 or max(self.trials, default=0) > self.chunk << 32:
+            raise ParameterError("more than 2**32 SNR points or chunks per point")
 
 
 @dataclass(frozen=True)
@@ -520,6 +527,140 @@ def wilson_interval(k: int, n: int, z: float = _WILSON_Z) -> tuple[float, float]
     return (lo, hi)
 
 
+# Bytes one decode row block may hold: its (rows, L) metric block, its
+# (rows, D) feature rows and their temporaries.
+DECODE_BLOCK_BYTES = 32 << 20
+_NOISE_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class DecoderLayout:
+    """How the batched ML decoder handles one code and constellation.
+
+    Under the ``scalar`` and ``diagonal`` noise paths the cooperation noise is
+    white within each group of slots that share a per-relay noise diagonal
+    (one group under ``scalar``). The metric is then one real GEMM of
+    per-trial features against a (codewords, feature_width) table, done in
+    row blocks of at most ``block_rows`` trials. The improper ``general``
+    path whitens each trial in full and has no table.
+
+    Per group, ``z_keep`` selects the relay columns (real parts, imaginary
+    parts) and ``gram_keep`` the gram entries, with their weights, that the
+    table holds. On the diagonal path ``forms`` gives the table's column and
+    gram parts as linear and quadratic forms in the real symbols.
+    """
+
+    noise_path: str
+    slot_groups: tuple[tuple[int, ...], ...]  # cooperation slots of each noise-weight group
+    noise_diag: np.ndarray | None  # (R, G): per-relay noise diagonal of each group
+    codewords: int
+    feature_width: int | None = None
+    block_rows: int | None = None
+    z_keep: tuple | None = None  # (re, im): per group, columns of the (T2 R) relay columns
+    gram_keep: tuple | None = None  # (re, im): per group, (entries of the R R gram, weights)
+    forms: tuple | None = None  # (linear (2K, .), quadratic (P, .)) coefficients
+
+    def summary(self) -> dict:
+        """JSON-ready description for run manifests."""
+        return {
+            "noise_path": self.noise_path,
+            "noise_groups": len(self.slot_groups),
+            "codewords": self.codewords,
+            "feature_width": self.feature_width,
+            "decode_block_rows": self.block_rows,
+        }
+
+
+def decoder_layout(code: LinearDispersionCode, constellation: Constellation) -> DecoderLayout:
+    """The decoder layout for a code and constellation, without building the codeword table."""
+    return _layout(scaled_relay_pairs(code), constellation.size**code.K)
+
+
+def _layout(pairs, codewords: int) -> DecoderLayout:
+    """Classify the forwarded noise from the dispersion Grams Z_r Z_r^T and lay the table out.
+
+    Diagonal Grams with equal real and imaginary halves keep the noise
+    proper and white per slot; slots are then grouped by their per-relay
+    diagonal. Anything else takes the ``general`` path.
+    """
+    a, b = np.stack([p.a for p in pairs]), np.stack([p.b for p in pairs])
+    r, t2, k = a.shape
+    zz = np.stack([z @ z.T for z in map(dispersion_matrix, pairs)])
+    diag = np.diagonal(zz, axis1=1, axis2=2)  # (R, 2T2)
+    off = np.max(np.abs(zz - diag[:, :, None] * np.eye(2 * t2)))
+    d_re = diag[:, :t2]
+    if off > _NOISE_TOL or np.max(np.abs(d_re - diag[:, t2:])) > _NOISE_TOL:
+        return DecoderLayout("general", (), None, codewords)
+    # each slot joins the group of the first slot with the same diagonal
+    first = np.argmax(np.max(np.abs(d_re[:, :, None] - d_re[:, None, :]), axis=0) <= _NOISE_TOL, axis=0)
+    leaders = sorted(set(first.tolist()))
+    groups = tuple(tuple(np.flatnonzero(first == t).tolist()) for t in leaders)
+    noise_diag = np.ascontiguousarray(d_re[:, leaders])
+    if len(groups) == 1:
+        # every relay column and gram entry: scalar-path results are pinned to this layout's rounding
+        z_keep = ([slice(None)], [slice(None)])
+        gram_keep = ([(slice(None), 1.0)], [(slice(None), 1.0)])
+        width, forms = 1 + 2 * k + 2 * t2 * r + 2 * r * r, None
+    else:
+        z_keep, gram_keep, forms = _diagonal_forms(a, b, groups)
+        width = 1 + 2 * k + forms[0].shape[1] + forms[1].shape[1]
+    row_bytes = 8 * (codewords + 2 * width) + 16 * (t2 * r + r * r)
+    rows = max(3, DECODE_BLOCK_BYTES // row_bytes)
+    path = "scalar" if len(groups) == 1 else "diagonal"
+    return DecoderLayout(path, groups, noise_diag, codewords, width, rows, z_keep, gram_keep, forms)
+
+
+def _diagonal_forms(a: np.ndarray, b: np.ndarray, groups) -> tuple:
+    """Table layout of the diagonal path: (z_keep, gram_keep, forms); ``a``, ``b`` stack (A_r, B_r).
+
+    The relay columns are linear in the real symbols x = (Re s, Im s),
+    C_t = sum_j x_j M_jt, so they are linear forms in x and each group's gram
+    G_g = sum_{t in g} conj(C_t) C_t^T holds quadratic forms: two GEMMs fill
+    the table instead of a gram per codeword. The gram being Hermitian, its
+    upper triangle carries it all (off-diagonal entries weigh twice), and
+    columns whose forms vanish are zero for every codeword and left out.
+    """
+    r, t2, k = a.shape
+    order = [t for grp in groups for t in grp]
+    m = np.concatenate([a + b, 1j * (a - b)], axis=2).transpose(2, 1, 0)[:, order]  # (2K, T2, R)
+    # x_j x_i (j <= i) weighs sum_t conj(M_jt) M_it^T + conj(M_it) M_jt^T (once when j == i)
+    j, i = np.triu_indices(2 * k)
+    ea, eb = np.divmod(np.arange(r * r), r)
+    mj, mi = m[j].transpose(1, 0, 2), m[i].transpose(1, 0, 2)  # (T2, P, R)
+    prod = np.conj(mj[:, :, ea]) * mi[:, :, eb] + (j < i)[:, None] * (np.conj(mi[:, :, ea]) * mj[:, :, eb])
+    sizes = [len(grp) for grp in groups]
+    w = np.add.reduceat(prod, np.cumsum([0] + sizes[:-1]))  # (G, P, R R)
+    mc = m.reshape(2 * k, t2 * r)
+    ends = np.cumsum(sizes) * r
+    spans = [(end - size * r, end) for size, end in zip(sizes, ends)]  # each group's relay columns
+    col_re, col_im = np.any(mc.real != 0, axis=0), np.any(mc.imag != 0, axis=0)  # nonzero forms
+    z_re = [lo + np.flatnonzero(col_re[lo:hi]) for lo, hi in spans]
+    z_im = [lo + np.flatnonzero(col_im[lo:hi]) for lo, hi in spans]
+    upper, strict = np.flatnonzero(ea <= eb), np.flatnonzero(ea < eb)
+    ent_re, ent_im = np.any(w.real != 0, axis=1), np.any(w.imag != 0, axis=1)  # (G, R R)
+    gram_re = [upper[used[upper]] for used in ent_re]
+    gram_im = [strict[used[strict]] for used in ent_im]
+    z_keep = (z_re, z_im)
+    gram_keep = ([(e, np.where(ea[e] < eb[e], 2.0, 1.0)) for e in gram_re], [(e, 2.0) for e in gram_im])
+    linear = np.hstack([mc.real[:, c] for c in z_re] + [mc.imag[:, c] for c in z_im])
+    quadratic = np.hstack(
+        [wg[:, e].real for wg, e in zip(w, gram_re)] + [wg[:, e].imag for wg, e in zip(w, gram_im)]
+    )
+    return z_keep, gram_keep, (linear, quadratic)
+
+
+def _row_blocks(n: int, rows: int) -> list[tuple[int, int]]:
+    """Row ranges of at most ``rows`` rows, none of them a single row unless n == 1.
+
+    BLAS multiplies a one-row block as a matrix-vector product, which rounds
+    differently from the matrix product used for every other block.
+    """
+    stops = list(range(rows, n, rows)) + [n]
+    if len(stops) > 1 and stops[-1] - stops[-2] == 1:
+        stops[-2] -= 1
+    return list(zip([0] + stops[:-1], stops))
+
+
 class _Kernel:
     """Vectorized per-chunk simulator + exact ML decoder for one code/constellation."""
 
@@ -535,50 +676,55 @@ class _Kernel:
         self.sym, self.digits, self.scale = codebook_symbol_vectors(code, con)
         self.L = self.sym.shape[0]
         self.bits_per_symbol = con.bits_per_symbol
-        gray = np.arange(con.size) ^ (np.arange(con.size) >> 1)
+        labels = con.bit_labels
         self.bitdist = np.array(
-            [[bin(int(ga) ^ int(gb)).count("1") for gb in gray] for ga in gray], dtype=np.int64
+            [[bin(la ^ lb).count("1") for lb in labels] for la in labels], dtype=np.int64
         )
-        # relay columns per codeword, and conjugate-separated parts for complex f
-        self.cols_a = np.einsum("rts,ls->ltr", self.a, self.sym)
-        self.cols_b = np.einsum("rts,ls->ltr", self.b, np.conj(self.sym))
-        cols = self.cols_a + self.cols_b
-        self.cols = cols
+        # relay columns per codeword; complex f also needs the conjugate-separated parts
+        cols_a = np.einsum("rts,ls->ltr", self.a, self.sym)
+        cols_b = np.einsum("rts,ls->ltr", self.b, np.conj(self.sym))
+        self.cols = cols_a + cols_b  # (L, T2, R)
+        if not cfg.partial_csi:
+            self.cols_a, self.cols_b = cols_a, cols_b
+        del cols_a, cols_b
         self.energy1 = np.sum(np.abs(self.sym) ** 2, axis=1).real  # (L,)
-        self.gram_rel = np.einsum("lta,ltb->lab", np.conj(cols), cols)  # (L, R, R)
-        # per-codeword features of the single-gemm scalar-path metric
-        colsflat = cols.reshape(self.L, -1)
-        gramflat = self.gram_rel.reshape(self.L, -1)
-        self.features = np.hstack(
-            [
-                self.energy1[:, None],
-                self.sym.real,
-                self.sym.imag,
-                colsflat.real,
-                colsflat.imag,
-                gramflat.real,
-                gramflat.imag,
-            ]
-        ).T.copy()  # (D, L)
-        # dispersion Gram diagnostics decide the whitening path
-        zz = np.stack([dispersion_matrix(p) @ dispersion_matrix(p).T for p in pairs])
-        off = np.array([np.max(np.abs(m - np.diag(np.diag(m)))) for m in zz])
-        self.zz = zz
-        diag = np.stack([np.diag(m) for m in zz])  # (R, 2T2)
-        self.d_re = diag[:, : self.t2]
-        self.d_im = diag[:, self.t2 :]
-        if np.max(off) <= 1e-12 and np.max(np.abs(diag - diag[:, :1])) <= 1e-12:
-            self.noise_path = "scalar"
-            self.zz_scalar = diag[:, 0]  # (R,)
-        elif np.max(off) <= 1e-12 and np.max(np.abs(self.d_re - self.d_im)) <= 1e-12:
-            self.noise_path = "diagonal"
-        else:
-            self.noise_path = "general"
+        self.layout = layout = _layout(pairs, self.L)
+        self.noise_path = layout.noise_path
+        if self.noise_path == "general":
             t2 = self.t2
             jt = np.block([[np.zeros((t2, t2)), -np.eye(t2)], [np.eye(t2), np.zeros((t2, t2))]])
+            zz = np.stack([dispersion_matrix(p) @ dispersion_matrix(p).T for p in pairs])
             self.gen_m = zz
             self.gen_k = np.stack([jt @ m - m @ jt for m in zz])
             self.gen_l = np.stack([-(jt @ m @ jt) for m in zz])
+            return
+        # Per-codeword table of the metric's single GEMM, one row per codeword:
+        # [||s||^2, Re s, Im s, Re C, Im C, Re G_g..., Im G_g...] with the
+        # relay columns C in group order of the slots and G_g = sum_{t in g}
+        # conj(C_t) C_t^T the gram of each noise-weight group, as the layout keeps them.
+        order = [t for grp in layout.slot_groups for t in grp]
+        self.slot_order = slice(None) if order == sorted(order) else order
+        k = self.t1
+        table = np.empty((self.L, layout.feature_width))
+        table[:, 0] = self.energy1
+        table[:, 1 : 1 + k] = self.sym.real
+        table[:, 1 + k : 1 + 2 * k] = self.sym.imag
+        if layout.forms is None:  # scalar path: einsum grams, the rounding its pinned results rest on
+            tr, rr = self.t2 * self.r, self.r * self.r
+            cols, grams = table[:, 1 + 2 * k : 1 + 2 * k + 2 * tr], table[:, 1 + 2 * k + 2 * tr :]
+            cols[:, :tr] = self.cols.reshape(self.L, tr).real
+            cols[:, tr:] = self.cols.reshape(self.L, tr).imag
+            gram = np.einsum("lta,ltb->lab", np.conj(self.cols), self.cols).reshape(self.L, rr)
+            grams[:, :rr] = gram.real
+            grams[:, rr:] = gram.imag
+        else:
+            linear, quadratic = layout.forms
+            x = np.hstack([self.sym.real, self.sym.imag])
+            j, i = np.triu_indices(2 * k)
+            mid = 1 + 2 * k + linear.shape[1]
+            np.matmul(x, linear, out=table[:, 1 + 2 * k : mid])
+            np.matmul(x[:, j] * x[:, i], quadratic, out=table[:, mid:])
+        self.table = table  # (L, D); the GEMM reads its transpose in place
 
     def simulate_batch(self, pa: PowerAllocation, rng: np.random.Generator, n: int):
         """Draw one batch of trials; fixed draw order (idx, then one normal block)."""
@@ -621,58 +767,69 @@ class _Kernel:
         y2 = rg * (sig2 + noise2) + w2
         return idx, g0, g, f, y1, y2
 
+    def _features(self, pa: PowerAllocation, g0, g, f, y1, y2) -> np.ndarray:
+        """Per-trial rows phi with phi @ table.T the ML metric up to per-trial constants.
+
+        Per noise-weight group g with w_g = 1 / (1 + kappa sum_r |g_r|^2 d[r, g]),
+        the metric is 2||r1||^2 - 4 Re<y1,r1> + sum_g w_g (2||r2_g||^2 - 4 Re<y2_g,r2_g>).
+        """
+        n = len(g0)
+        c1 = pa.broadcast_amp
+        c2 = c1 * pa.relay_gain
+        # decoder believes the effective-channel model h = (g0, g_i f_i)
+        hh = g * f
+        winv = 1.0 / (1.0 + pa.relay_gain_sq * (np.abs(g) ** 2 @ self.layout.noise_diag))  # (n, G)
+        a1 = np.conj(g0)[:, None] * y1
+        z = (np.conj(hh)[:, None, :] * y2[:, self.slot_order, None]).reshape(n, -1)
+        outer = (np.conj(hh)[:, :, None] * hh[:, None, :]).reshape(n, -1)
+        phi = np.empty((n, self.layout.feature_width))
+        pos = 0
+
+        def put(part, coeff):
+            nonlocal pos
+            width = part.shape[1]
+            np.multiply(part, coeff, out=phi[:, pos : pos + width])
+            pos += width
+
+        put((np.abs(g0) ** 2)[:, None], 2.0 * c1 * c1)
+        put(a1.real, -4.0 * c1)
+        put(a1.imag, -4.0 * c1)
+        for zpart, keep in zip((z.real, z.imag), self.layout.z_keep):
+            for j, cols in enumerate(keep):
+                put(zpart[:, cols], (-4.0 * c2) * winv[:, j : j + 1])
+        re, im = self.layout.gram_keep
+        for opart, coeff, keep in ((outer.real, 2.0 * c2 * c2, re), (outer.imag, -2.0 * c2 * c2, im)):
+            for j, (entries, weight) in enumerate(keep):
+                put(opart[:, entries], coeff * (winv[:, j : j + 1] * weight))
+        return phi
+
     def decode_batch(self, pa: PowerAllocation, g0, g, f, y1, y2) -> np.ndarray:
         """Exact ML decisions for a batch, whitened per the code's noise structure."""
         n = len(g0)
+        if self.noise_path != "general":
+            # one real GEMM against the codeword table, in row blocks of bounded memory
+            dec = np.empty(n, dtype=np.intp)
+            for lo, hi in _row_blocks(n, self.layout.block_rows):
+                phi = self._features(pa, g0[lo:hi], g[lo:hi], f[lo:hi], y1[lo:hi], y2[lo:hi])
+                np.argmin(phi @ self.table.T, axis=1, out=dec[lo:hi])
+                del phi  # freed before the next block's features are built
+            return dec
+        # improper forwarded noise: whiten each trial's real-stacked cooperation residual
         c1 = pa.broadcast_amp
-        rg = pa.relay_gain
+        c2 = c1 * pa.relay_gain
         kap = pa.relay_gain_sq
-        # decoder believes the effective-channel model h = (g0, g_i f_i)
-        hh = g * f
-        c2 = c1 * rg
-        if self.noise_path == "scalar":
-            # whole metric (constants dropped) as one real gemm against the
-            # per-codeword feature table: 2||r1||^2 - 4 Re<y1,r1>
-            # + (2/w)||r2||^2 - (4/w) Re<y2,r2>
-            omega = 1.0 + kap * (np.abs(g) ** 2 @ self.zz_scalar)
-            a1 = np.conj(g0)[:, None] * y1
-            z = (np.conj(hh)[:, None, :] * y2[:, :, None]).reshape(n, -1)
-            outer = (np.conj(hh)[:, :, None] * hh[:, None, :]).reshape(n, -1)
-            winv = 1.0 / omega
-            phi = np.empty((n, self.features.shape[0]))
-            pos = 0
-            for part, coeff in (
-                ((np.abs(g0) ** 2)[:, None], 2.0 * c1 * c1),
-                (a1.real, -4.0 * c1),
-                (a1.imag, -4.0 * c1),
-                (z.real, (-4.0 * c2) * winv[:, None]),
-                (z.imag, (-4.0 * c2) * winv[:, None]),
-                (outer.real, (2.0 * c2 * c2) * winv[:, None]),
-                (outer.imag, (-2.0 * c2 * c2) * winv[:, None]),
-            ):
-                width = part.shape[1]
-                np.multiply(part, coeff, out=phi[:, pos : pos + width])
-                pos += width
-            return np.argmin(phi @ self.features, axis=1)
         cross1 = (c1 * np.conj(g0))[:, None] * (y1 @ np.conj(self.sym).T)
         m1 = 2.0 * (c1 * c1 * np.abs(g0)[:, None] ** 2 * self.energy1[None, :] - 2.0 * cross1.real)
-        resp2 = c2 * np.einsum("br,ltr->blt", hh, self.cols)
-        diff = y2[:, None, :] - resp2
-        if self.noise_path == "diagonal":
-            denom = 1.0 + kap * np.einsum("br,rt->bt", np.abs(g) ** 2, self.d_re)
-            m2 = 2.0 * np.sum(np.abs(diff) ** 2 / denom[:, None, :], axis=2)
-        else:
-            ga, gb = g.real, g.imag
-            coeff = np.stack([ga * ga, ga * gb, gb * gb], axis=2)  # (n, R, 3)
-            mats = np.stack([self.gen_m, self.gen_k, self.gen_l], axis=1)  # (R, 3, d, d)
-            cov = 0.5 * np.eye(2 * self.t2) + 0.5 * kap * np.tensordot(
-                coeff, mats, axes=([1, 2], [0, 1])
-            )
-            w, vec = np.linalg.eigh(cov)
-            white = vec * (1.0 / np.sqrt(w))[:, None, :]  # (n, d, d): rows V diag(1/sqrt)
-            dreal = np.concatenate([diff.real, diff.imag], axis=2)  # (n, L, d)
-            e = np.einsum("bdk,bld->blk", white, dreal)
-            m2 = np.einsum("blk,blk->bl", e, e)
+        diff = y2[:, None, :] - c2 * np.einsum("br,ltr->blt", g * f, self.cols)
+        ga, gb = g.real, g.imag
+        coeff = np.stack([ga * ga, ga * gb, gb * gb], axis=2)  # (n, R, 3)
+        mats = np.stack([self.gen_m, self.gen_k, self.gen_l], axis=1)  # (R, 3, d, d)
+        cov = 0.5 * np.eye(2 * self.t2) + 0.5 * kap * np.tensordot(coeff, mats, axes=([1, 2], [0, 1]))
+        w, vec = np.linalg.eigh(cov)
+        white = vec * (1.0 / np.sqrt(w))[:, None, :]  # (n, d, d): rows V diag(1/sqrt)
+        dreal = np.concatenate([diff.real, diff.imag], axis=2)  # (n, L, d)
+        e = np.einsum("bdk,bld->blk", white, dreal)
+        m2 = np.einsum("blk,blk->bl", e, e)
         return np.argmin(m1 + m2, axis=1)
 
     def run_chunk(self, pa: PowerAllocation, snr_idx: int, chunk_idx: int, n: int):

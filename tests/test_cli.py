@@ -135,6 +135,34 @@ class TestSimulate:
         ) == 0
         assert (tmp_path / "sim.csv.manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "family, path, groups, width",
+        [("alamouti", "scalar", 1, 21), ("cod8", "diagonal", 8, 201)],
+    )
+    def test_manifest_records_decoder(self, tmp_path, family, path, groups, width):
+        csv = tmp_path / "sim.csv"
+        assert run(["simulate", "--family", family, "--snr-db", "10", "--trials", "50", "--out", csv]) == 0
+        decoder = json.loads((tmp_path / "sim.csv.manifest.json").read_text())["decoder"]
+        assert decoder["noise_path"] == path and decoder["noise_groups"] == groups
+        assert decoder["feature_width"] == width and decoder["decode_block_rows"] >= 3
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    @pytest.mark.parametrize("command", ["simulate", "dmg"])
+    def test_bad_seed_exits_two_with_one_line(self, tmp_path, capsys, command, seed):
+        args = ["--family", "alamouti", "--trials", "10"] if command == "simulate" else ["--samples", "100"]
+        assert run([command, *args, "--seed", seed, "--out", tmp_path / "x.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "seed" in err
+
+    def test_dmg_seed_range_counts_the_derived_seeds(self, tmp_path, capsys):
+        # the largest derived stream seed is seed + 104729 + 7919 (two rho values)
+        top = 2**64 - 1 - 104729 - 7919
+        args = ["dmg", "--rho", "1,10", "--samples", "50", "--out", tmp_path / "x.csv"]
+        assert run(args + ["--seed", top]) == 0
+        capsys.readouterr()
+        assert run(args + ["--seed", top + 1]) == 2
+        assert f"--seed must lie in [0, {top}]" in capsys.readouterr().err
+
 
 class TestDmg:
     def test_csv_columns_and_determinism(self, tmp_path):
@@ -162,6 +190,14 @@ class TestConfigFile:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"constellation": "bpsk"}))
         assert run(["--config", cfg, "analyze", "--family", "alamouti", "--constellation", "qpsk"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["n_codewords"] == 16
+
+    def test_equals_form_flag_overrides_config(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"constellation": "bpsk"}))
+        assert run(["--config", cfg, "analyze", "--family", "alamouti", "--constellation=qpsk"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["n_codewords"] == 16
 

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,21 +10,26 @@ from dstc.code_library import (
     block_diagonal_extend,
     clifford_4x4,
     cuw_ssd,
+    gciod,
     repetition_control,
     scaled_relay_pairs,
     square_cod,
 )
-from dstc.constraint_checker import random_compliant_code
+from dstc.constraint_checker import dispersion_matrix, random_compliant_code
 from dstc.diversity_analyzer import Constellation
 from dstc.errors import ContractError, DimensionError, InsufficientDataError, ParameterError
+from dstc.matrix_core import real_stack
 from dstc.relay_channel_sim import (
+    DECODE_BLOCK_BYTES,
     BerPoint,
     ChannelRealization,
     PowerAllocation,
     ReceivedSignal,
     SimConfig,
     _Kernel,
+    _row_blocks,
     codebook_symbol_vectors,
+    decoder_layout,
     dstc_matrix,
     estimate_diversity,
     group_ml_decode,
@@ -30,6 +38,7 @@ from dstc.relay_channel_sim import (
     noise_covariance,
     noise_covariance_real,
     quadrature_pair_values,
+    real_response_matrix,
     sample_channel,
     simulate_transmission,
     whiten,
@@ -367,6 +376,80 @@ class TestGroupDecode:
             group_ml_decode(sig, code, ((0, 1),), [np.zeros((1, 2))], ch, pa)
 
 
+def kernel_batch(code, p, n, seed, con=None):
+    """A kernel for ``code`` and one simulated batch of ``n`` trials at power ``p``."""
+    con = con or Constellation.qpsk()
+    kernel = _Kernel(SimConfig(code=code, constellation=con, snr_db=(10.0,), trials=(1,), seed=seed))
+    pa = PowerAllocation.equal_split(code, p)
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    idx, g0, g, f, y1, y2 = kernel.simulate_batch(pa, rng, n)
+    return kernel, pa, (g0, g, f, y1, y2)
+
+
+def reference_decisions(code, pa, batch, con=None):
+    """Per-trial exact ML (the slow oracle) for a kernel batch."""
+    sym, _, _ = codebook_symbol_vectors(code, con or Constellation.qpsk())
+    out = []
+    for g0, g, f, y1, y2 in zip(*batch):
+        ch = ChannelRealization(complex(g0), g, f, True)
+        sig = ReceivedSignal(
+            y1, y2, ch.h, noise_covariance(code, ch, pa), noise_covariance_real(code, ch, pa)
+        )
+        out.append(ml_decode(sig, code, sym, ch, pa))
+    return out
+
+
+def reference_metrics(code, pa, batch):
+    """Per-trial exact ML metric over the codebook, covariance-weighted: (n, L)."""
+    sym, _, _ = codebook_symbol_vectors(code, Constellation.qpsk())
+    reals = np.empty((len(sym), 2 * code.K))
+    reals[:, 0::2], reals[:, 1::2] = sym.real, sym.imag
+    out = []
+    for g0, g, f, y1, y2 in zip(*batch):
+        ch = ChannelRealization(complex(g0), g, f, True)
+        d = real_stack(np.concatenate([y1, y2]))[None, :] - reals @ real_response_matrix(code, ch, pa).T
+        out.append(np.einsum("lj,lj->l", d, np.linalg.solve(noise_covariance_real(code, ch, pa), d.T).T))
+    return np.array(out)
+
+
+def old_scalar_table(code, con):
+    """The scalar path's codeword features as first written: (D, L), every gram entry."""
+    pairs = scaled_relay_pairs(code)
+    a, b = np.stack([p.a for p in pairs]), np.stack([p.b for p in pairs])
+    sym, _, _ = codebook_symbol_vectors(code, con)
+    cols = np.einsum("rts,ls->ltr", a, sym) + np.einsum("rts,ls->ltr", b, np.conj(sym))
+    gram = np.einsum("lta,ltb->lab", np.conj(cols), cols)
+    colsflat, gramflat = cols.reshape(len(sym), -1), gram.reshape(len(sym), -1)
+    energy = np.sum(np.abs(sym) ** 2, axis=1).real
+    return np.hstack(
+        [energy[:, None], sym.real, sym.imag, colsflat.real, colsflat.imag, gramflat.real, gramflat.imag]
+    ).T.copy()
+
+
+def old_scalar_phi(code, pa, g0, g, f, y1, y2):
+    """The scalar path's per-trial features as first written."""
+    zz = np.stack([dispersion_matrix(p) @ dispersion_matrix(p).T for p in scaled_relay_pairs(code)])
+    zz_scalar = np.stack([np.diag(m) for m in zz])[:, 0]
+    n = len(g0)
+    c1, c2 = pa.broadcast_amp, pa.broadcast_amp * pa.relay_gain
+    hh = g * f
+    omega = 1.0 + pa.relay_gain_sq * (np.abs(g) ** 2 @ zz_scalar)
+    a1 = np.conj(g0)[:, None] * y1
+    z = (np.conj(hh)[:, None, :] * y2[:, :, None]).reshape(n, -1)
+    outer = (np.conj(hh)[:, :, None] * hh[:, None, :]).reshape(n, -1)
+    winv = 1.0 / omega
+    parts = (
+        ((np.abs(g0) ** 2)[:, None], 2.0 * c1 * c1),
+        (a1.real, -4.0 * c1),
+        (a1.imag, -4.0 * c1),
+        (z.real, (-4.0 * c2) * winv[:, None]),
+        (z.imag, (-4.0 * c2) * winv[:, None]),
+        (outer.real, (2.0 * c2 * c2) * winv[:, None]),
+        (outer.imag, (-2.0 * c2 * c2) * winv[:, None]),
+    )
+    return np.hstack([np.multiply(part, coeff) for part, coeff in parts])
+
+
 class TestKernel:
     @pytest.mark.parametrize(
         "code",
@@ -374,43 +457,122 @@ class TestKernel:
         ids=lambda c: c.name,
     )
     def test_batched_decoder_matches_reference(self, code):
+        kernel, pa, batch = kernel_batch(code, 30.0, 200, seed=21)
+        dec = kernel.decode_batch(pa, *batch)
+        assert list(dec) == reference_decisions(code, pa, batch)
+
+    @pytest.mark.parametrize(
+        "code, groups",
+        [(square_cod(4), 4), (gciod(alamouti(), alamouti()), 2), (square_cod(8), 8)],
+        ids=["cod4", "ciod4", "cod8"],
+    )
+    def test_diagonal_noise_path_matches_reference(self, code, groups):
+        kernel, pa, batch = kernel_batch(code, 10.0, 150, seed=23)
+        assert kernel.noise_path == "diagonal"
+        assert len(kernel.layout.slot_groups) == groups
+        dec = kernel.decode_batch(pa, *batch)
+        ref = reference_decisions(code, pa, batch)
+        assert list(dec) == ref
+        assert len(set(ref)) > 1
+        # the GEMM metric is the exact metric plus a constant per trial
+        gap = kernel._features(pa, *batch) @ kernel.table.T - reference_metrics(code, pa, batch)
+        assert np.allclose(gap, gap[:, :1], rtol=0.0, atol=1e-9 * np.abs(gap).max())
+
+    @pytest.mark.parametrize("code", [alamouti(), clifford_4x4(), cuw_ssd(4)], ids=lambda c: c.name)
+    def test_scalar_path_is_bitwise_the_first_single_gemm(self, code):
         con = Constellation.qpsk()
-        cfg = SimConfig(code=code, constellation=con, snr_db=(10.0,), trials=(1,), seed=21)
-        kernel = _Kernel(cfg)
-        pa = PowerAllocation.equal_split(code, 30.0)
-        rng = np.random.Generator(np.random.Philox(key=np.array([21, 0], dtype=np.uint64)))
-        idx, g0, g, f, y1, y2 = kernel.simulate_batch(pa, rng, 200)
-        dec = kernel.decode_batch(pa, g0, g, f, y1, y2)
-        sym, _, _ = codebook_symbol_vectors(code, con)
-        for t in range(200):
-            ch = ChannelRealization(complex(g0[t]), g[t], f[t], True)
-            sig = ReceivedSignal(
-                y1[t], y2[t], ch.h, noise_covariance(code, ch, pa),
-                noise_covariance_real(code, ch, pa),
-            )
-            assert ml_decode(sig, code, sym, ch, pa) == dec[t]
+        kernel, pa, batch = kernel_batch(code, 20.0, 300, seed=24)
+        assert kernel.noise_path == "scalar"
+        old_table = old_scalar_table(code, con)
+        old_phi = old_scalar_phi(code, pa, *batch)
+        assert np.array_equal(kernel.table, old_table.T)
+        assert np.array_equal(kernel._features(pa, *batch), old_phi)
+        assert np.array_equal(kernel.decode_batch(pa, *batch), np.argmin(old_phi @ old_table, axis=1))
+
+    def test_row_blocks_cover_without_single_rows(self):
+        for rows in range(3, 8):
+            for n in range(1, 40):
+                blocks = _row_blocks(n, rows)
+                assert blocks[0][0] == 0 and blocks[-1][1] == n
+                assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+                assert all(hi - lo <= rows for lo, hi in blocks)
+                assert n == 1 or all(hi - lo >= 2 for lo, hi in blocks)
+
+    @pytest.mark.parametrize("code", [clifford_4x4(), square_cod(8)], ids=lambda c: c.name)
+    def test_block_split_decoding_equals_one_gemm(self, code):
+        n = 4 * 75 + 1  # blocks of 4 leave a one-row remainder
+        kernel, pa, batch = kernel_batch(code, 8.0, n, seed=25)
+        whole = dataclasses.replace(kernel.layout, block_rows=n)
+        split = dataclasses.replace(kernel.layout, block_rows=4)
+        kernel.layout = whole
+        one = kernel.decode_batch(pa, *batch)
+        kernel.layout = split
+        assert np.array_equal(kernel.decode_batch(pa, *batch), one)
+        assert len(set(one.tolist())) > 1
+        assert _row_blocks(n, 4)[-2:] == [(296, 299), (299, 301)]
+
+    def test_decode_memory_stays_under_the_block_budget(self):
+        # decode memory must not grow as chunk x codewords: cod8 needed ~100 KB per trial
+        code = square_cod(8)
+        peaks = {}
+        for n in (4096, 16384):
+            kernel, pa, batch = kernel_batch(code, 10.0, n, seed=26)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                kernel.decode_batch(pa, *batch)
+                peaks[n] = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        for n, peak in peaks.items():
+            assert peak <= DECODE_BLOCK_BYTES + 8 * n  # the block budget plus the decisions
+        # more trials cost less than one metric row (8 L bytes) each
+        assert (peaks[16384] - peaks[4096]) / (16384 - 4096) < 8 * kernel.L
+
+    def test_layout_without_tables_matches_kernel(self):
+        for code, path, groups in (
+            (alamouti(), "scalar", 1),
+            (square_cod(8), "diagonal", 8),
+            (cuw_ssd(8), "diagonal", 4),
+        ):
+            layout = decoder_layout(code, Constellation.qpsk())
+            assert (layout.noise_path, len(layout.slot_groups)) == (path, groups)
+            summary = layout.summary()
+            assert summary["noise_groups"] == groups and summary["codewords"] == 4**code.K
+            assert summary["decode_block_rows"] >= 3
+        kernel, _, _ = kernel_batch(square_cod(8), 10.0, 2, seed=27)
+        table = kernel.table
+        assert table.shape == (kernel.L, kernel.layout.feature_width)
+        # the diagonal path keeps no column that is zero for every codeword
+        assert np.all(np.any(table != 0, axis=0))
+        assert kernel.layout.feature_width < 1 + 8 + 2 * 64 + 8 * 64  # one R x R triangle per group
 
     def test_general_noise_path_matches_reference(self):
         # mixed conjugation forces the full real-covariance whitening path
         wi = (np.eye(2, dtype=complex), np.array([[0, 1], [0, 0]], dtype=complex))
         wq = (np.array([[1j, 0], [0, 0]]), np.array([[0, 1j], [1j, 0]]))
         code = LinearDispersionCode(wi, wq, name="mixed")
-        con = Constellation.qpsk()
-        cfg = SimConfig(code=code, constellation=con, snr_db=(10.0,), trials=(1,), seed=22)
-        kernel = _Kernel(cfg)
+        kernel, pa, batch = kernel_batch(code, 12.0, 150, seed=22)
         assert kernel.noise_path == "general"
-        pa = PowerAllocation.equal_split(code, 12.0)
-        rng = np.random.Generator(np.random.Philox(key=np.array([22, 0], dtype=np.uint64)))
-        idx, g0, g, f, y1, y2 = kernel.simulate_batch(pa, rng, 150)
-        dec = kernel.decode_batch(pa, g0, g, f, y1, y2)
-        sym, _, _ = codebook_symbol_vectors(code, con)
-        for t in range(150):
-            ch = ChannelRealization(complex(g0[t]), g[t], f[t], True)
-            sig = ReceivedSignal(
-                y1[t], y2[t], ch.h, noise_covariance(code, ch, pa),
-                noise_covariance_real(code, ch, pa),
-            )
-            assert ml_decode(sig, code, sym, ch, pa) == dec[t]
+        assert decoder_layout(code, Constellation.qpsk()).feature_width is None
+        dec = kernel.decode_batch(pa, *batch)
+        assert list(dec) == reference_decisions(code, pa, batch)
+
+    @pytest.mark.parametrize(
+        "con", [Constellation.bpsk(), Constellation.qpsk(), Constellation.qam16()], ids=lambda c: c.name
+    )
+    def test_bit_labels_of_nearest_neighbours_differ_in_one_bit(self, con):
+        pts = np.asarray(con.points)
+        dist = np.abs(pts[:, None] - pts[None, :])
+        nearest = np.min(dist[dist > 0])
+        labels = con.bit_labels
+        pairs = [
+            (i, j) for i in range(con.size) for j in range(i + 1, con.size) if dist[i, j] <= nearest * (1 + 1e-9)
+        ]
+        assert len(pairs) == {"bpsk": 1, "qpsk": 4, "qam16": 24}[con.name]
+        assert all(bin(labels[i] ^ labels[j]).count("1") == 1 for i, j in pairs)
+        kernel, _, _ = kernel_batch(alamouti(), 10.0, 2, seed=28, con=con)
+        assert all(kernel.bitdist[i, j] == 1 for i, j in pairs)
 
 
 class TestMonteCarlo:
