@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 
@@ -40,8 +41,9 @@ from .diversity_analyzer import (
 )
 from .dmg_analysis import OUTAGE_SEED_STRIDE, channel_stat_samples, empirical_outage, ks_two_sample
 from .errors import ParameterError
-from .relay_channel_sim import SimConfig, decoder_layout, monte_carlo_ber
+from .relay_channel_sim import SimConfig, monte_carlo_ber
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 _CUW_FAMILIES = {"cuw2", "cuw4", "cuw8", "clifford4"}
 
 _FAMILIES = {
@@ -217,7 +219,8 @@ def cmd_simulate(args) -> int:
         chunk=args.chunk,
         threads=args.threads,
     )
-    points = monte_carlo_ber(cfg)
+    decoder = {"blas_thread_env": {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}}
+    points = monte_carlo_ber(cfg, telemetry=decoder)
     lines = ["snr_db,trials,codeword_errors,bit_errors,ber,ci_low,ci_high"]
     for p in points:
         lines.append(
@@ -239,7 +242,7 @@ def cmd_simulate(args) -> int:
             "bundle": _sha256(json.dumps(lib.to_bundle(code), sort_keys=True).encode()),
             "csv": _sha256(text.encode()),
         },
-        {"decoder": decoder_layout(code, con).summary()},
+        {"decoder": decoder},
     )
     return 0
 

@@ -24,12 +24,17 @@ are orthonormal this collapses to the familiar scalar whitening.
 Monte Carlo estimation uses counter-based RNG streams keyed by
 (seed, snr index, chunk index): chunk boundaries are fixed regardless of
 thread count, and error counts are integers, so results are bit-identical
-under any parallelism.
+under any parallelism. The per-codeword tables depend only on the code,
+the constellation and the CSI mode; they are built once per distinct
+content and kept in a byte-bounded cache shared by every call.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -499,6 +504,12 @@ class SimConfig:
             raise ParameterError(f"seed must lie in [0, 2**64), got {self.seed}")
         if len(self.snr_db) > 1 << 32 or max(self.trials, default=0) > self.chunk << 32:
             raise ParameterError("more than 2**32 SNR points or chunks per point")
+        if self.pi is not None:
+            if len(self.pi) != 3:
+                raise ParameterError(f"need three power factors pi1,pi2,pi3, got {len(self.pi)}")
+            if self.pi[1] > 0:
+                # no family defines the source's cooperation matrices (A0, B0), so that power would be lost
+                raise ParameterError("pi2 > 0 is not supported: the source sends nothing in the cooperation phase")
 
 
 @dataclass(frozen=True)
@@ -662,11 +673,13 @@ def _row_blocks(n: int, rows: int) -> list[tuple[int, int]]:
 
 
 class _Kernel:
-    """Vectorized per-chunk simulator + exact ML decoder for one code/constellation."""
+    """Vectorized per-chunk simulator + exact ML decoder for one code/constellation.
 
-    def __init__(self, cfg: SimConfig):
-        code, con = cfg.code, cfg.constellation
-        self.cfg = cfg
+    Read-only once built, so concurrent callers may share one.
+    """
+
+    def __init__(self, code: LinearDispersionCode, con: Constellation, partial_csi: bool):
+        self.partial_csi = partial_csi
         pairs = scaled_relay_pairs(code)
         self.a = np.stack([p.a for p in pairs])  # (R, T2, T1)
         self.b = np.stack([p.b for p in pairs])
@@ -684,7 +697,7 @@ class _Kernel:
         cols_a = np.einsum("rts,ls->ltr", self.a, self.sym)
         cols_b = np.einsum("rts,ls->ltr", self.b, np.conj(self.sym))
         self.cols = cols_a + cols_b  # (L, T2, R)
-        if not cfg.partial_csi:
+        if not partial_csi:
             self.cols_a, self.cols_b = cols_a, cols_b
         del cols_a, cols_b
         self.energy1 = np.sum(np.abs(self.sym) ** 2, axis=1).real  # (L,)
@@ -726,6 +739,12 @@ class _Kernel:
             np.matmul(x[:, j] * x[:, i], quadratic, out=table[:, mid:])
         self.table = table  # (L, D); the GEMM reads its transpose in place
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays the kernel holds."""
+        forms = self.layout.forms or ()
+        return sum(v.nbytes for v in (*vars(self).values(), *forms) if isinstance(v, np.ndarray))
+
     def simulate_batch(self, pa: PowerAllocation, rng: np.random.Generator, n: int):
         """Draw one batch of trials; fixed draw order (idx, then one normal block)."""
         idx = rng.integers(0, self.L, n)
@@ -743,7 +762,7 @@ class _Kernel:
         g0 = take(1)[:, 0]
         g = take(self.r)
         f = take(self.r)
-        if self.cfg.partial_csi:
+        if self.partial_csi:
             f = np.abs(f)
         w1 = take(self.t1)
         v = take(self.r * self.t1).reshape(n, self.r, self.t1)
@@ -756,7 +775,7 @@ class _Kernel:
         gv = (g[:, :, None] * v).reshape(n, -1)
         gvc = (g[:, :, None] * np.conj(v)).reshape(n, -1)
         noise2 = gv @ self.a_flat.T + gvc @ self.b_flat.T
-        if self.cfg.partial_csi:
+        if self.partial_csi:
             # real f: A_i s f + B_i s* f = f (A_i s + B_i s*)
             sig2 = c1 * np.einsum("br,btr->bt", g * f, self.cols[idx])
         else:
@@ -832,11 +851,9 @@ class _Kernel:
         m2 = np.einsum("blk,blk->bl", e, e)
         return np.argmin(m1 + m2, axis=1)
 
-    def run_chunk(self, pa: PowerAllocation, snr_idx: int, chunk_idx: int, n: int):
+    def run_chunk(self, pa: PowerAllocation, seed: int, snr_idx: int, chunk_idx: int, n: int):
         rng = np.random.Generator(
-            np.random.Philox(
-                key=np.array([self.cfg.seed, (snr_idx << 32) + chunk_idx], dtype=np.uint64)
-            )
+            np.random.Philox(key=np.array([seed, (snr_idx << 32) + chunk_idx], dtype=np.uint64))
         )
         idx, g0, g, f, y1, y2 = self.simulate_batch(pa, rng, n)
         dec = self.decode_batch(pa, g0, g, f, y1, y2)
@@ -845,40 +862,84 @@ class _Kernel:
         return cw, bits
 
 
-def monte_carlo_ber(cfg: SimConfig) -> list[BerPoint]:
+# Bytes the kernel cache may hold over all its kernels; a larger kernel is
+# built for its call and not kept.
+KERNEL_CACHE_BYTES = 64 << 20
+_KERNELS: OrderedDict = OrderedDict()  # content key -> _Kernel, least recently used first
+_KERNELS_LOCK = threading.Lock()
+
+
+def _kernel_key(code: LinearDispersionCode, con: Constellation, partial_csi: bool) -> tuple:
+    """Everything a kernel is built from, by content: a code's name is not part of it."""
+    weights = code.real_weights()
+    points = np.asarray(con.points, dtype=complex)
+    return (weights.shape, weights.tobytes(), points.tobytes(), con.bit_labels, bool(partial_csi))
+
+
+def _cached_kernel(code: LinearDispersionCode, con: Constellation, partial_csi: bool) -> tuple[_Kernel, float, bool]:
+    """The kernel for this content, the seconds spent building it now and whether it was reused."""
+    key = _kernel_key(code, con, partial_csi)
+    with _KERNELS_LOCK:
+        kernel = _KERNELS.get(key)
+        if kernel is not None:
+            _KERNELS.move_to_end(key)
+            return kernel, 0.0, True
+        start = time.perf_counter()
+        kernel = _Kernel(code, con, partial_csi)
+        build_s = time.perf_counter() - start
+        if kernel.nbytes <= KERNEL_CACHE_BYTES:
+            _KERNELS[key] = kernel
+            held = sum(k.nbytes for k in _KERNELS.values())
+            while held > KERNEL_CACHE_BYTES:
+                held -= _KERNELS.popitem(last=False)[1].nbytes
+        return kernel, build_s, False
+
+
+def monte_carlo_ber(cfg: SimConfig, telemetry: dict | None = None) -> list[BerPoint]:
     """Per-SNR codeword/bit error estimates, deterministic given the seed.
 
     Trials are processed in fixed-size chunks with independent counter-based
-    RNG streams; results are identical for any thread count.
+    RNG streams; results are identical for any thread count. ``telemetry``,
+    when given, receives the decoder summary, ``kernel_build_s`` (0 when the
+    kernel came from the cache) and ``kernel_reused``.
     """
-    kernel = _Kernel(cfg)
+    kernel, build_s, reused = _cached_kernel(cfg.code, cfg.constellation, cfg.partial_csi)
+    if telemetry is not None:
+        telemetry.update(kernel.layout.summary(), kernel_build_s=build_s, kernel_reused=reused)
+    pas = [PowerAllocation.equal_split(cfg.code, 10.0 ** (snr / 10.0), cfg.pi) for snr in cfg.snr_db]
+    jobs = [
+        (snr_idx, ci, min(cfg.chunk, trials - ci * cfg.chunk))
+        for snr_idx, trials in enumerate(cfg.trials)
+        for ci in range((trials + cfg.chunk - 1) // cfg.chunk)
+    ]
+
+    def job(spec):
+        snr_idx, ci, n = spec
+        return snr_idx, kernel.run_chunk(pas[snr_idx], cfg.seed, snr_idx, ci, n)
+
+    workers = min(cfg.threads, len(jobs))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(job, jobs))
+    else:
+        results = [job(spec) for spec in jobs]
+    cw, bits = [0] * len(cfg.trials), [0] * len(cfg.trials)
+    for snr_idx, (c, b) in results:
+        cw[snr_idx] += c
+        bits[snr_idx] += b
     points = []
-    for snr_idx, (snr, trials) in enumerate(zip(cfg.snr_db, cfg.trials)):
-        pa = PowerAllocation.equal_split(cfg.code, 10.0 ** (snr / 10.0), cfg.pi)
-        nchunks = (trials + cfg.chunk - 1) // cfg.chunk
-        sizes = [min(cfg.chunk, trials - ci * cfg.chunk) for ci in range(nchunks)]
-
-        def job(ci):
-            return kernel.run_chunk(pa, snr_idx, ci, sizes[ci])
-
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                results = list(pool.map(job, range(nchunks)))
-        else:
-            results = [job(ci) for ci in range(nchunks)]
-        cw = sum(r[0] for r in results)
-        bits = sum(r[1] for r in results)
+    for snr, trials, c, b in zip(cfg.snr_db, cfg.trials, cw, bits):
         n_bits = trials * cfg.code.K * kernel.bits_per_symbol
-        lo, hi = wilson_interval(bits, n_bits)
+        lo, hi = wilson_interval(b, n_bits)
         points.append(
             BerPoint(
                 snr_db=snr,
                 trials=trials,
-                cw_errors=cw,
-                bit_errors=bits,
+                cw_errors=c,
+                bit_errors=b,
                 n_bits=n_bits,
-                cer=cw / trials,
-                ber=bits / n_bits,
+                cer=c / trials,
+                ber=b / n_bits,
                 ci_low=lo,
                 ci_high=hi,
             )

@@ -1,8 +1,10 @@
 import json
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
+from dstc import relay_channel_sim
 from dstc.cli import main
 from dstc.code_library import alamouti, load_bundle, to_bundle
 
@@ -139,12 +141,33 @@ class TestSimulate:
         "family, path, groups, width",
         [("alamouti", "scalar", 1, 21), ("cod8", "diagonal", 8, 201)],
     )
-    def test_manifest_records_decoder(self, tmp_path, family, path, groups, width):
-        csv = tmp_path / "sim.csv"
-        assert run(["simulate", "--family", family, "--snr-db", "10", "--trials", "50", "--out", csv]) == 0
-        decoder = json.loads((tmp_path / "sim.csv.manifest.json").read_text())["decoder"]
-        assert decoder["noise_path"] == path and decoder["noise_groups"] == groups
-        assert decoder["feature_width"] == width and decoder["decode_block_rows"] >= 3
+    def test_manifest_records_decoder(self, tmp_path, monkeypatch, family, path, groups, width):
+        monkeypatch.setattr(relay_channel_sim, "_KERNELS", OrderedDict())  # the first call builds
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        decoders = []
+        for name in ("a.csv", "b.csv"):
+            csv = tmp_path / name
+            assert run(["simulate", "--family", family, "--snr-db", "10", "--trials", "50", "--out", csv]) == 0
+            decoders.append(json.loads((tmp_path / f"{name}.manifest.json").read_text())["decoder"])
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        for decoder in decoders:
+            assert decoder["noise_path"] == path and decoder["noise_groups"] == groups
+            assert decoder["feature_width"] == width and decoder["decode_block_rows"] >= 3
+            assert decoder["blas_thread_env"] == {
+                "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None
+            }
+        built, reused = decoders
+        assert built["kernel_reused"] is False and built["kernel_build_s"] > 0
+        assert reused["kernel_reused"] is True and reused["kernel_build_s"] == 0
+
+    def test_source_cooperation_power_exits_two_with_one_line(self, tmp_path, capsys):
+        args = ["simulate", "--family", "alamouti", "--trials", "100", "--out", tmp_path / "x.csv"]
+        assert run(args + ["--pi", "1,1,1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "pi2" in err
+        assert run(args + ["--pi", "2,0,1"]) == 0
 
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
     @pytest.mark.parametrize("command", ["simulate", "dmg"])

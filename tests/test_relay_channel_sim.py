@@ -1,9 +1,13 @@
 import dataclasses
+import sys
+import threading
 import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
+from dstc import relay_channel_sim
 from dstc.code_library import (
     LinearDispersionCode,
     alamouti,
@@ -21,11 +25,13 @@ from dstc.errors import ContractError, DimensionError, InsufficientDataError, Pa
 from dstc.matrix_core import real_stack
 from dstc.relay_channel_sim import (
     DECODE_BLOCK_BYTES,
+    KERNEL_CACHE_BYTES,
     BerPoint,
     ChannelRealization,
     PowerAllocation,
     ReceivedSignal,
     SimConfig,
+    _cached_kernel,
     _Kernel,
     _row_blocks,
     codebook_symbol_vectors,
@@ -379,7 +385,7 @@ class TestGroupDecode:
 def kernel_batch(code, p, n, seed, con=None):
     """A kernel for ``code`` and one simulated batch of ``n`` trials at power ``p``."""
     con = con or Constellation.qpsk()
-    kernel = _Kernel(SimConfig(code=code, constellation=con, snr_db=(10.0,), trials=(1,), seed=seed))
+    kernel = _Kernel(code, con, partial_csi=True)
     pa = PowerAllocation.equal_split(code, p)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     idx, g0, g, f, y1, y2 = kernel.simulate_batch(pa, rng, n)
@@ -589,19 +595,51 @@ class TestMonteCarlo:
         assert lo <= 15.0 / 16.0 <= hi
 
     def test_thread_count_does_not_change_counts(self):
+        # 8 + 8 chunks and a point of one chunk; 32 threads exceed the call's 17 chunks
         base = dict(
             code=alamouti(),
             constellation=Constellation.qpsk(),
-            snr_db=(12.0, 18.0),
-            trials=(30_000, 30_000),
+            snr_db=(12.0, 18.0, 24.0),
+            trials=(30_000, 30_000, 3_000),
             seed=5,
             chunk=4096,
         )
         one = monte_carlo_ber(SimConfig(**base, threads=1))
-        many = monte_carlo_ber(SimConfig(**base, threads=4))
-        assert [(p.cw_errors, p.bit_errors) for p in one] == [
-            (p.cw_errors, p.bit_errors) for p in many
-        ]
+        single = dict(base, snr_db=(6.0,), trials=(3_000,))
+        (alone,) = monte_carlo_ber(SimConfig(**single, threads=1))
+        assert alone.cw_errors > 0
+        for threads in (4, 32):
+            many = monte_carlo_ber(SimConfig(**base, threads=threads))
+            assert [(p.cw_errors, p.bit_errors) for p in one] == [
+                (p.cw_errors, p.bit_errors) for p in many
+            ]
+            assert monte_carlo_ber(SimConfig(**single, threads=threads)) == [alone]
+
+    def test_one_pool_per_call_and_none_for_one_chunk(self, monkeypatch):
+        pools = []
+        real_pool = relay_channel_sim.ThreadPoolExecutor
+
+        def counting_pool(max_workers):
+            pools.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(relay_channel_sim, "ThreadPoolExecutor", counting_pool)
+        base = dict(code=alamouti(), constellation=Constellation.qpsk(), seed=6, chunk=1000, threads=8)
+        monte_carlo_ber(SimConfig(**base, snr_db=(10.0, 15.0, 20.0), trials=(3_000,)))
+        assert pools == [8]  # nine chunks over three points, one pool
+        monte_carlo_ber(SimConfig(**base, snr_db=(10.0, 15.0), trials=(1_000, 1_500)))
+        assert pools == [8, 3]
+        monte_carlo_ber(SimConfig(**base, snr_db=(10.0,), trials=(1_000,)))
+        assert pools == [8, 3]  # one chunk runs inline
+
+    def test_source_cooperation_power_rejected(self):
+        base = dict(code=alamouti(), constellation=Constellation.qpsk(), snr_db=(10.0,), trials=(10,), seed=1)
+        with pytest.raises(ParameterError, match="pi2"):
+            SimConfig(**base, pi=(1.0, 1.0, 1.0))
+        with pytest.raises(ParameterError, match="three power factors"):
+            SimConfig(**base, pi=(2.0, 1.0))
+        (point,) = monte_carlo_ber(SimConfig(**base, pi=(2.0, 0.0, 1.0)))
+        assert point.trials == 10
 
     def test_trial_broadcast(self):
         cfg = SimConfig(
@@ -632,6 +670,115 @@ class TestMonteCarlo:
         ctrl = monte_carlo_ber(SimConfig(code=repetition_control(), **base))
         for pf, pc in zip(full, ctrl):
             assert pf.ci_high < pc.ci_low  # separated confidence intervals at both points
+
+
+@pytest.fixture
+def empty_kernel_cache(monkeypatch):
+    """A fresh, empty kernel cache for one test; the shared one is restored after it."""
+    cache = OrderedDict()
+    monkeypatch.setattr(relay_channel_sim, "_KERNELS", cache)
+    return cache
+
+
+class TestKernelCache:
+    def test_reused_kernel_gives_the_points_of_a_fresh_one(self, empty_kernel_cache):
+        code, con = square_cod(4), Constellation.qpsk()
+        warm = SimConfig(code=code, constellation=con, snr_db=(10.0,), trials=(500,), seed=1, chunk=256)
+        other = SimConfig(
+            code=code, constellation=con, snr_db=(8.0, 14.0), trials=(3_000,), seed=9, chunk=1_000, threads=2
+        )
+        first = {}
+        monte_carlo_ber(warm, telemetry=first)
+        assert first["kernel_reused"] is False and first["kernel_build_s"] > 0
+        reused = {}
+        points = monte_carlo_ber(other, telemetry=reused)
+        assert reused["kernel_reused"] is True and reused["kernel_build_s"] == 0.0
+        empty_kernel_cache.clear()
+        fresh = {}
+        assert monte_carlo_ber(other, telemetry=fresh) == points
+        assert fresh["kernel_reused"] is False
+        assert len(empty_kernel_cache) == 1
+
+    def test_key_is_the_content_not_the_name(self, empty_kernel_cache):
+        qpsk, qam16 = Constellation.qpsk(), Constellation.qam16()
+        default_labels = Constellation("qam16", qam16.points)
+        assert default_labels.bit_labels != qam16.bit_labels
+        draws = [random_compliant_code(np.random.default_rng(s), t=2, n=2, k=2) for s in (1, 2)]
+        same_name = [dataclasses.replace(c, name="drawn") for c in draws]
+        assert not np.array_equal(same_name[0].real_weights(), same_name[1].real_weights())
+        distinct = [
+            ((alamouti(), qpsk, True), (alamouti(), qpsk, False)),
+            ((alamouti(), qam16, True), (alamouti(), default_labels, True)),
+            ((same_name[0], qpsk, True), (same_name[1], qpsk, True)),
+        ]
+        for one, two in distinct:
+            empty_kernel_cache.clear()
+            assert _cached_kernel(*one)[0] is not _cached_kernel(*two)[0]
+            assert len(empty_kernel_cache) == 2
+        renamed = dataclasses.replace(alamouti(), name="renamed")
+        assert _cached_kernel(renamed, qpsk, True)[0] is _cached_kernel(alamouti(), qpsk, True)[0]
+
+    def test_byte_bound_keeps_small_kernels_and_evicts_least_recent(self, monkeypatch, empty_kernel_cache):
+        qpsk = Constellation.qpsk()
+        codes = sorted(
+            [alamouti(), clifford_4x4(), square_cod(4)], key=lambda c: _Kernel(c, qpsk, True).nbytes
+        )
+        small, mid, large = (_Kernel(c, qpsk, True).nbytes for c in codes)
+        assert small < mid < large
+        monkeypatch.setattr(relay_channel_sim, "KERNEL_CACHE_BYTES", small + large)
+        get = lambda c: _cached_kernel(c, qpsk, True)
+        kept_small, kept_mid = get(codes[0])[0], get(codes[1])[0]
+        assert get(codes[0]) == (kept_small, 0.0, True)  # now the most recently used
+        get(codes[2])
+        assert len(empty_kernel_cache) == 2  # the middle one was least recently used
+        assert get(codes[0])[0] is kept_small and get(codes[2])[2] is True
+        assert get(codes[1])[0] is not kept_mid
+        # a kernel larger than the bound is built for its call, not kept, and evicts nothing
+        monkeypatch.setattr(relay_channel_sim, "KERNEL_CACHE_BYTES", mid)
+        empty_kernel_cache.clear()
+        get(codes[0])
+        assert get(codes[2])[2] is False and get(codes[2])[2] is False
+        assert len(empty_kernel_cache) == 1 and get(codes[0])[2] is True
+
+    def test_largest_built_in_codebook_is_not_kept(self, empty_kernel_cache):
+        # cuw4 --blocks 2: 65536 codewords, a table and relay columns of about 110 MiB
+        kernel, _, reused = _cached_kernel(block_diagonal_extend(cuw_ssd(4), 2), Constellation.qpsk(), True)
+        assert kernel.L == 65536 and kernel.nbytes > KERNEL_CACHE_BYTES
+        assert not reused and len(empty_kernel_cache) == 0
+
+    def test_concurrent_callers_match_serial_calls(self, empty_kernel_cache):
+        # more callers than cores, switching often: exactly one of them may build the kernel
+        cfgs = [
+            SimConfig(
+                code=square_cod(4), constellation=Constellation.qpsk(), snr_db=(6.0, 12.0),
+                trials=(2_000,), seed=seed, chunk=500,
+            )
+            for seed in (11, 12, 13, 14)
+        ]
+        serial = [monte_carlo_ber(cfg) for cfg in cfgs]
+        assert len({tuple(points) for points in serial}) == len(cfgs)
+        empty_kernel_cache.clear()
+        start = threading.Barrier(len(cfgs))
+        results, telemetry = [None] * len(cfgs), [{} for _ in cfgs]
+
+        def call(i):
+            start.wait(timeout=60)
+            results[i] = monte_carlo_ber(cfgs[i], telemetry=telemetry[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=call, args=(i,)) for i in range(len(cfgs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == serial
+        assert [t["kernel_reused"] for t in telemetry].count(False) == 1
+        assert len(empty_kernel_cache) == 1
 
 
 class TestEstimateDiversity:
