@@ -25,6 +25,8 @@ import json
 import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -256,18 +258,41 @@ def cmd_dmg(args) -> int:
         raise ParameterError(
             f"--seed must lie in [0, {(1 << 64) - 1 - top}] with {len(args.rho)} rho values, got {args.seed}"
         )
-    lines = ["rho,ks_stat,reject,outage_phase_csi,outage_full_f"]
-    outage_a = empirical_outage(args.relays, args.rho, args.rate, args.samples, args.seed, True)
-    outage_b = empirical_outage(
-        args.relays, args.rho, args.rate, args.samples, args.seed + _DMG_OUTAGE_OFFSET, False
-    )
-    for k, rho in enumerate(args.rho):
+    if args.threads < 1:
+        raise ParameterError(f"--threads must be positive, got {args.threads}")
+
+    def ks(k, rho):
         a = channel_stat_samples(args.relays, rho, args.samples, True, args.seed + 2 * k).values
         b = channel_stat_samples(args.relays, rho, args.samples, False, args.seed + 2 * k + 1).values
-        stat, reject = ks_two_sample(a, b, alpha=0.01)
+        return ks_two_sample(a, b, alpha=0.01)
+
+    def outage(k, rho, seed, partial_csi):
+        # rho number k of empirical_outage's grid is drawn from seed + k * stride
+        grid_seed = seed + OUTAGE_SEED_STRIDE * k
+        return empirical_outage(args.relays, [rho], args.rate, args.samples, grid_seed, partial_csi)[0]
+
+    # each job holds at most two sample sets, so memory grows with the workers, not with the rho grid
+    jobs = [
+        job
+        for k, rho in enumerate(args.rho)
+        for job in (
+            partial(ks, k, rho),
+            partial(outage, k, rho, args.seed, True),
+            partial(outage, k, rho, args.seed + _DMG_OUTAGE_OFFSET, False),
+        )
+    ]
+    workers = min(args.threads, len(jobs))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(lambda job: job(), jobs))
+    else:
+        results = [job() for job in jobs]
+    lines = ["rho,ks_stat,reject,outage_phase_csi,outage_full_f"]
+    for k, rho in enumerate(args.rho):
+        (stat, reject), outage_a, outage_b = results[3 * k : 3 * k + 3]
         lines.append(
             f"{_csv_float(rho)},{_csv_float(stat)},{int(reject)},"
-            f"{_csv_float(outage_a[k])},{_csv_float(outage_b[k])}"
+            f"{_csv_float(outage_a)},{_csv_float(outage_b)}"
         )
     text = "\n".join(lines) + "\n"
     if args.out:

@@ -49,9 +49,9 @@ def channel_stat_samples(
     """n i.i.d. draws of 1 + rho (|g0|^2 + sum |f_i|^2 |g_i|^2).
 
     ``partial_csi`` selects Rayleigh-magnitude f (phase compensated at the
-    relays) versus complex Gaussian f; the statistic only sees |f|^2.
-    Chunked counter-based streams keep results reproducible and
-    order-independent.
+    relays) versus complex Gaussian f; the statistic only sees |f|^2, so
+    both draw it the same way and differ only through their seeds. Chunked
+    counter-based streams keep results reproducible and order-independent.
     """
     if n < 1:
         raise ParameterError("need at least one sample")
@@ -66,10 +66,7 @@ def channel_stat_samples(
         g0_sq = cn2(size)
         g_sq = cn2(size, n_relays)
         f = (rng.standard_normal((size, n_relays)) + 1j * rng.standard_normal((size, n_relays))) / np.sqrt(2)
-        if partial_csi:
-            f_sq = np.abs(f) ** 2
-        else:
-            f_sq = f.real**2 + f.imag**2
+        f_sq = f.real**2 + f.imag**2  # |f|^2, the same whether or not the relays remove f's phase
         out[ci * chunk : ci * chunk + size] = 1.0 + rho * (g0_sq + np.sum(f_sq * g_sq, axis=1))
     return ChannelStatSample(rho, out)
 

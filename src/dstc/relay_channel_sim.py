@@ -26,17 +26,22 @@ Monte Carlo estimation uses counter-based RNG streams keyed by
 thread count, and error counts are integers, so results are bit-identical
 under any parallelism. The per-codeword tables depend only on the code,
 the constellation and the CSI mode; they are built once per distinct
-content and kept in a byte-bounded cache shared by every call.
+content and kept in a byte-bounded cache shared by every call. While a call
+runs more than one worker, numpy's OpenBLAS is held at one thread, so the
+workers do not oversubscribe the cores.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -895,13 +900,85 @@ def _cached_kernel(code: LinearDispersionCode, con: Constellation, partial_csi: 
         return kernel, build_s, False
 
 
+def _openblas_thread_api():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or None without one."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libdir.glob("*openblas*")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+class _BlasThreads:
+    """Holds numpy's OpenBLAS at one thread while any multi-worker call runs.
+
+    The thread count is process-wide, so concurrent callers share one
+    reference count: the first to enter saves the count and sets 1, the last
+    to leave restores it. An environment variable cannot do this once numpy
+    is loaded, because OpenBLAS reads it only then. The library is looked up
+    on first use, not at import; without one (an MKL or Accelerate numpy)
+    nothing is changed.
+    """
+
+    def __init__(self, resolve=_openblas_thread_api):
+        self._resolve = resolve
+        self._api = None
+        self._resolved = False
+        self._lock = threading.Lock()
+        self._users = 0
+        self._saved = 0
+
+    def _functions(self):  # under the lock
+        if not self._resolved:
+            self._api = self._resolve()
+            self._resolved = True
+        return self._api
+
+    def count(self) -> int | None:
+        """The thread count in force, or None when the library cannot be reached."""
+        with self._lock:
+            api = self._functions()
+            return api[0]() if api else None
+
+    @contextmanager
+    def one_thread(self):
+        with self._lock:
+            api = self._functions()
+            if api and self._users == 0:
+                self._saved = api[0]()
+                api[1](1)
+            self._users += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._users -= 1
+                if api and self._users == 0:
+                    api[1](self._saved)
+
+
+_BLAS = _BlasThreads()
+
+
 def monte_carlo_ber(cfg: SimConfig, telemetry: dict | None = None) -> list[BerPoint]:
     """Per-SNR codeword/bit error estimates, deterministic given the seed.
 
     Trials are processed in fixed-size chunks with independent counter-based
-    RNG streams; results are identical for any thread count. ``telemetry``,
-    when given, receives the decoder summary, ``kernel_build_s`` (0 when the
-    kernel came from the cache) and ``kernel_reused``.
+    RNG streams; results are identical for any thread count. With more than
+    one worker, numpy's OpenBLAS runs at one thread until the call returns.
+    ``telemetry``, when given, receives the decoder summary,
+    ``kernel_build_s`` (0 when the kernel came from the cache),
+    ``kernel_reused``, ``workers`` and ``blas_threads_per_worker`` (the
+    OpenBLAS thread count while chunks ran, None when it cannot be reached).
     """
     kernel, build_s, reused = _cached_kernel(cfg.code, cfg.constellation, cfg.partial_csi)
     if telemetry is not None:
@@ -918,11 +995,14 @@ def monte_carlo_ber(cfg: SimConfig, telemetry: dict | None = None) -> list[BerPo
         return snr_idx, kernel.run_chunk(pas[snr_idx], cfg.seed, snr_idx, ci, n)
 
     workers = min(cfg.threads, len(jobs))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, jobs))
-    else:
-        results = [job(spec) for spec in jobs]
+    with _BLAS.one_thread() if workers > 1 else nullcontext():
+        if telemetry is not None:
+            telemetry.update(workers=workers, blas_threads_per_worker=_BLAS.count())
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(job, jobs))
+        else:
+            results = [job(spec) for spec in jobs]
     cw, bits = [0] * len(cfg.trials), [0] * len(cfg.trials)
     for snr_idx, (c, b) in results:
         cw[snr_idx] += c

@@ -4,7 +4,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from dstc import relay_channel_sim
+from dstc import cli, relay_channel_sim
 from dstc.cli import main
 from dstc.code_library import alamouti, load_bundle, to_bundle
 
@@ -147,9 +147,11 @@ class TestSimulate:
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         decoders = []
-        for name in ("a.csv", "b.csv"):
+        # the third call runs two chunks on two workers
+        for name, extra in (("a.csv", []), ("b.csv", []), ("c.csv", ["--chunk", 25, "--threads", 2])):
             csv = tmp_path / name
-            assert run(["simulate", "--family", family, "--snr-db", "10", "--trials", "50", "--out", csv]) == 0
+            args = ["simulate", "--family", family, "--snr-db", "10", "--trials", "50", "--out", csv]
+            assert run(args + extra) == 0
             decoders.append(json.loads((tmp_path / f"{name}.manifest.json").read_text())["decoder"])
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         for decoder in decoders:
@@ -158,9 +160,13 @@ class TestSimulate:
             assert decoder["blas_thread_env"] == {
                 "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None
             }
-        built, reused = decoders
+        built, reused, pooled = decoders
         assert built["kernel_reused"] is False and built["kernel_build_s"] > 0
         assert reused["kernel_reused"] is True and reused["kernel_build_s"] == 0
+        blas = relay_channel_sim._BLAS.count()  # the count in force outside a multi-worker call
+        assert built["workers"] == reused["workers"] == 1 and pooled["workers"] == 2
+        assert built["blas_threads_per_worker"] == reused["blas_threads_per_worker"] == blas
+        assert pooled["blas_threads_per_worker"] == (None if blas is None else 1)
 
     def test_source_cooperation_power_exits_two_with_one_line(self, tmp_path, capsys):
         args = ["simulate", "--family", "alamouti", "--trials", "100", "--out", tmp_path / "x.csv"]
@@ -197,6 +203,25 @@ class TestDmg:
         lines = a.read_text().splitlines()
         assert lines[0] == "rho,ks_stat,reject,outage_phase_csi,outage_full_f"
         assert all(line.split(",")[2] == "0" for line in lines[1:])
+
+    def test_one_pool_per_call_and_none_for_one_thread(self, tmp_path, monkeypatch, capsys):
+        pools = []
+        real_pool = cli.ThreadPoolExecutor
+
+        def counting_pool(max_workers):
+            pools.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", counting_pool)
+        args = ["dmg", "--relays", 2, "--rho", "1,10", "--samples", 3000, "--seed", 8]
+        outs = [tmp_path / f"{threads}.csv" for threads in (8, 2, 1)]
+        for threads, out in zip((8, 2, 1), outs):
+            assert run(args + ["--threads", threads, "--out", out]) == 0
+        assert pools == [6, 2]  # three jobs per rho value in one pool; one thread runs inline
+        assert len({out.read_bytes() for out in outs}) == 1
+        assert run(args + ["--threads", 0, "--out", tmp_path / "x.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--threads" in err
 
 
 class TestConfigFile:

@@ -614,6 +614,20 @@ class TestMonteCarlo:
                 (p.cw_errors, p.bit_errors) for p in many
             ]
             assert monte_carlo_ber(SimConfig(**single, threads=threads)) == [alone]
+        # OpenBLAS splits a GEMM over its rows and codewords, never over the summed
+        # features, so one and two BLAS threads give the same decisions
+        api = relay_channel_sim._openblas_thread_api()
+        if api is not None:
+            get, put = api
+            cod8 = dict(base, code=square_cod(8), snr_db=(8.0,), trials=(4_096,), chunk=2_048)
+            original, counts = get(), []
+            try:
+                for blas_threads in (1, 2):
+                    put(blas_threads)
+                    counts.append([monte_carlo_ber(SimConfig(**cfg, threads=1)) for cfg in (base, cod8)])
+            finally:
+                put(original)
+            assert counts[0] == counts[1] and counts[0][0] == one
 
     def test_one_pool_per_call_and_none_for_one_chunk(self, monkeypatch):
         pools = []
@@ -779,6 +793,107 @@ class TestKernelCache:
         assert results == serial
         assert [t["kernel_reused"] for t in telemetry].count(False) == 1
         assert len(empty_kernel_cache) == 1
+
+
+@pytest.fixture
+def blas_spy(monkeypatch):
+    """A fresh thread guard over numpy's OpenBLAS, set to 2 threads, recording every set call."""
+    api = relay_channel_sim._openblas_thread_api()
+    if api is None:
+        pytest.skip("numpy's OpenBLAS cannot be reached")
+    get, put = api
+    original = get()
+    put(2)
+    calls = []
+
+    def spy(n):
+        calls.append(n)
+        put(n)
+
+    monkeypatch.setattr(relay_channel_sim, "_BLAS", relay_channel_sim._BlasThreads(lambda: (get, spy)))
+    yield get, calls
+    put(original)
+
+
+def blas_config(seed, threads, trials=(2_000,), snr_db=(10.0,)):
+    return SimConfig(
+        code=square_cod(4), constellation=Constellation.qpsk(), snr_db=snr_db,
+        trials=trials, seed=seed, chunk=1_000, threads=threads,
+    )  # fmt: skip
+
+
+class TestBlasThreads:
+    def test_count_restored_after_a_multi_worker_call(self, blas_spy):
+        get, calls = blas_spy
+        telemetry = {}
+        points = monte_carlo_ber(blas_config(1, threads=2), telemetry=telemetry)
+        assert get() == 2 and calls == [1, 2]
+        assert telemetry["workers"] == 2 and telemetry["blas_threads_per_worker"] == 1
+        assert points == monte_carlo_ber(blas_config(1, threads=1))
+
+    def test_count_restored_when_a_chunk_raises(self, blas_spy, monkeypatch):
+        get, calls = blas_spy
+
+        def fail(*args):
+            raise RuntimeError("chunk failed")
+
+        monkeypatch.setattr(_Kernel, "run_chunk", fail)
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            monte_carlo_ber(blas_config(2, threads=2))
+        assert get() == 2 and calls == [1, 2]
+
+    def test_overlapping_callers_restore_once(self, blas_spy, monkeypatch):
+        get, calls = blas_spy
+        serial = [monte_carlo_ber(blas_config(seed, threads=1)) for seed in (3, 4)]
+        guard, real_run = relay_channel_sim._BLAS, _Kernel.run_chunk
+        both_inside = threading.Event()
+
+        def run_when_both_inside(self, *args):
+            if guard._users == 2:
+                both_inside.set()
+            assert both_inside.wait(timeout=60), "the two calls never overlapped"
+            return real_run(self, *args)
+
+        monkeypatch.setattr(_Kernel, "run_chunk", run_when_both_inside)
+        results = [None, None]
+
+        def call(i):
+            results[i] = monte_carlo_ber(blas_config(3 + i, threads=2))
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert results == serial
+        assert get() == 2 and calls == [1, 2]
+
+    def test_single_worker_calls_leave_blas_alone(self, blas_spy, monkeypatch):
+        get, calls = blas_spy
+        lookups = []
+
+        def resolve():
+            lookups.append(1)
+            return get, calls.append
+
+        monkeypatch.setattr(relay_channel_sim, "_BLAS", relay_channel_sim._BlasThreads(resolve))
+        monte_carlo_ber(blas_config(5, threads=1, trials=(3_000,)))
+        monte_carlo_ber(blas_config(5, threads=4, trials=(1_000,)))  # one chunk: one worker
+        assert lookups == []  # looked up on first use, not for a call that needs nothing from it
+        telemetry = {}
+        monte_carlo_ber(blas_config(5, threads=1, trials=(3_000,)), telemetry=telemetry)
+        assert telemetry["workers"] == 1 and telemetry["blas_threads_per_worker"] == 2
+        monte_carlo_ber(blas_config(5, threads=2, trials=(3_000,)))
+        assert lookups == [1] and calls == [1, 2] and get() == 2
+
+    def test_unreachable_library_changes_nothing(self, monkeypatch):
+        monkeypatch.setattr(relay_channel_sim, "_BLAS", relay_channel_sim._BlasThreads(lambda: None))
+        telemetry = {}
+        cfg = blas_config(6, threads=2, trials=(3_000, 1_500), snr_db=(8.0, 12.0))
+        points = monte_carlo_ber(cfg, telemetry=telemetry)
+        assert telemetry["workers"] == 2 and telemetry["blas_threads_per_worker"] is None
+        assert points == monte_carlo_ber(dataclasses.replace(cfg, threads=1))
 
 
 class TestEstimateDiversity:
