@@ -65,10 +65,8 @@ from .relay_channel_sim import (
     group_ml_decode,
     ml_decode,
     monte_carlo_ber,
-    noise_covariance,
     noise_covariance_real,
     real_response_matrix,
     sample_channel,
     simulate_transmission,
-    whiten,
 )

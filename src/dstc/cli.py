@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from . import code_library as lib
-from .constraint_checker import verify_code
+from .constraint_checker import DIAG_TOL, verify_code
 from .diversity_analyzer import (
     PrecodingSpec,
     analyze_codebook,
@@ -43,6 +43,7 @@ from .diversity_analyzer import (
 )
 from .dmg_analysis import OUTAGE_SEED_STRIDE, channel_stat_samples, empirical_outage, ks_two_sample
 from .errors import ParameterError
+from .matrix_core import RANK_TOL
 from .relay_channel_sim import SimConfig, monte_carlo_ber
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -80,9 +81,7 @@ def make_code(
             # imported codes are re-checked; failures warn but do not block
             for line in verify_code(code).failures():
                 print(f"warning: {line}", file=sys.stderr)
-    if blocks > 1:
-        code = lib.block_diagonal_extend(code, blocks)
-    return code
+    return lib.block_diagonal_extend(code, blocks)
 
 
 def _sha256(data: bytes) -> str:
@@ -260,6 +259,8 @@ def cmd_dmg(args) -> int:
         )
     if args.threads < 1:
         raise ParameterError(f"--threads must be positive, got {args.threads}")
+    if args.relays < 1:
+        raise ParameterError(f"--relays must be positive, got {args.relays}")
 
     def ks(k, rho):
         a = channel_stat_samples(args.relays, rho, args.samples, True, args.seed + 2 * k).values
@@ -330,14 +331,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file with default option values")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = dict(seed=0, tol_rank=1e-9, tol_diag=1e-10)
-
     p = sub.add_parser("construct", help="build a code family and write a JSON bundle")
     _add_code_args(p)
     p.add_argument("--out", help="output bundle path (default <name>.json)")
 
     p = sub.add_parser("verify", help="run all admissibility checks")
     _add_code_args(p)
+    p.add_argument("--tol-diag", type=float, default=DIAG_TOL, help="tolerance of the diagonal-Gram check")
     p.add_argument("--out", help="write the JSON report here as well")
 
     p = sub.add_parser("analyze", help="rank/determinant scan of a codebook")
@@ -346,6 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rotate", action="store_true", help="use a jointly precoded rotated lattice")
     p.add_argument("--group-size", type=int, default=2, choices=(2, 4))
     p.add_argument("--rot-trials", type=int, default=200)
+    p.add_argument("--tol-rank", type=float, default=RANK_TOL, help="relative singular-value tolerance of the rank")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the JSON result here as well")
 
     p = sub.add_parser("simulate", help="Monte Carlo error rates over an SNR grid")
@@ -357,6 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pi", type=_float_list, help="pi1,pi2,pi3 power factors")
     p.add_argument("--full-csi-f", action="store_true", help="complex f (no phase compensation)")
     p.add_argument("--chunk", type=int, default=65536)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", help="CSV output path (default stdout)")
 
     p = sub.add_parser("dmg", help="distribution test between the two effective channels")
@@ -364,13 +368,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=_float_list, default=[1.0, 10.0, 100.0])
     p.add_argument("--rate", type=float, default=0.5, help="multiplexing rate for outage")
     p.add_argument("--samples", type=int, default=100000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", help="CSV output path (default stdout)")
 
-    for name, sp in sub.choices.items():
-        sp.add_argument("--seed", type=int, default=common["seed"])
-        sp.add_argument("--tol-rank", type=float, default=common["tol_rank"])
-        sp.add_argument("--tol-diag", type=float, default=common["tol_diag"])
-        sp.add_argument("--threads", type=int, default=1)
+    for sp in sub.choices.values():
         sp.add_argument("--manifest", help="write a JSON run manifest here")
     return parser
 

@@ -319,7 +319,7 @@ def normalize_unitary_weights(code: LinearDispersionCode) -> LinearDispersionCod
 def block_diagonal_extend(base: LinearDispersionCode, k: int) -> LinearDispersionCode:
     """k copies of ``base`` along the diagonal, each in fresh symbols."""
     if k < 1:
-        raise ParameterError("block count must be at least 1")
+        raise ParameterError(f"block count must be at least 1, got {k}")
     if k == 1:
         return base
     T, N, K = base.T, base.N, base.K

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .code_library import LinearDispersionCode, RelayMatrixPair, scaled_relay_pairs
-from .errors import ContractError, ParameterError
-from .matrix_core import frobenius_norm_sq
+from .errors import ContractError
+from .matrix_core import check_tol, frobenius_norm_sq
 
 DIAG_TOL = 1e-10
 CUW_TOL = 1e-10
@@ -51,8 +51,7 @@ def dispersion_matrix(pair: RelayMatrixPair) -> np.ndarray:
 
 def diagonal_gram(m, tol: float = DIAG_TOL) -> bool:
     """True iff M M^T is diagonal within ``tol`` (rows mutually orthogonal)."""
-    if tol <= 0:
-        raise ParameterError("tolerance must be positive")
+    check_tol(tol, "diagonal tolerance")
     g = np.asarray(m) @ np.asarray(m).T
     off = g - np.diag(np.diag(g))
     return bool(np.max(np.abs(off)) <= tol)

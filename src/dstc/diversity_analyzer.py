@@ -24,7 +24,7 @@ import numpy as np
 
 from .code_library import LinearDispersionCode
 from .errors import EnumerationBudgetError, ParameterError
-from .matrix_core import RANK_TOL
+from .matrix_core import RANK_TOL, check_tol
 
 ENUM_BUDGET = 2**20
 PAIR_SCAN_BUDGET = 2**12
@@ -241,6 +241,7 @@ def analyze_codebook(codebook, tol: float = RANK_TOL, budget: int = PAIR_SCAN_BU
     |det(dS^H dS)| otherwise. ``worst_pair`` is the first pair attaining the
     minimum determinant.
     """
+    check_tol(tol, "rank tolerance")
     cb = np.asarray(codebook, dtype=complex)
     if cb.ndim != 3:
         raise ParameterError("codebook must be an (L, T, N) array")
@@ -277,42 +278,8 @@ def analyze_codebook(codebook, tol: float = RANK_TOL, budget: int = PAIR_SCAN_BU
 
 
 def min_rank_over_differences(codebook, tol: float = RANK_TOL, budget: int = PAIR_SCAN_BUDGET) -> int:
-    """Minimum rank of S_i - S_j over distinct pairs.
-
-    Prunes by deduplicating difference matrices (differences of a linear
-    design repeat heavily across pairs); the naive O(L^2) loop is the
-    reference oracle in the test suite.
-    """
-    cb = np.asarray(codebook, dtype=complex)
-    if cb.ndim != 3:
-        raise ParameterError("codebook must be an (L, T, N) array")
-    L, T, N = cb.shape
-    if L < 2:
-        raise ParameterError("need at least two codewords")
-    if L > budget:
-        raise EnumerationBudgetError(
-            f"full pair scan waived above {budget} codewords (got {L}); "
-            "use the per-group difference scan for precoded block designs"
-        )
-    seen: set[bytes] = set()
-    min_rank = min(T, N)
-    for i in range(L - 1):
-        diffs = cb[i + 1 :] - cb[i]
-        keys = np.round(diffs, 9)
-        fresh = []
-        for d, key in zip(diffs, keys):
-            kb = key.tobytes()
-            if kb not in seen:
-                seen.add(kb)
-                fresh.append(d)
-        if not fresh:
-            continue
-        stack = np.stack(fresh)
-        s = np.linalg.svd(stack, compute_uv=False)
-        ranks = (s > tol * np.maximum(s[:, :1], 1e-300)).sum(axis=1)
-        ranks[s[:, 0] == 0.0] = 0
-        min_rank = min(min_rank, int(ranks.min()))
-    return min_rank
+    """Minimum rank of S_i - S_j over distinct pairs (the rank half of ``analyze_codebook``)."""
+    return analyze_codebook(codebook, tol=tol, budget=budget).min_rank
 
 
 def min_det_over_differences(codebook, tol: float = RANK_TOL) -> tuple[float, bool]:
@@ -339,6 +306,7 @@ def min_rank_group_differences(
     the single-group differences already realize every rank-drop pattern, so
     this scan is exhaustive for them.
     """
+    check_tol(tol, "rank tolerance")
     alphabet = np.asarray(per_dim_alphabet, dtype=float)
     tuples = np.asarray(list(itertools.product(alphabet, repeat=spec.lam)))
     rotated = tuples @ np.asarray(spec.rotation, float).T

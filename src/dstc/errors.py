@@ -9,10 +9,6 @@ class ParameterError(ValueError):
     """An argument lies outside the supported domain."""
 
 
-class NumericDomainError(ValueError):
-    """Input is numerically outside the operation's domain (e.g. not positive definite)."""
-
-
 class ContractError(ValueError):
     """A documented precondition was violated by the caller."""
 

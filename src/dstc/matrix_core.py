@@ -1,19 +1,19 @@
 """Small dense complex/real matrix helpers used throughout the package.
 
 Thin wrappers over ``numpy.linalg`` that pin down tolerances and raise
-domain-specific errors: tolerance-based rank, determinants, Frobenius power
-accounting, and the Hermitian inverse square root used for noise whitening.
+domain-specific errors: tolerance-based rank and Frobenius power accounting.
 All functions are pure and operate on immutable inputs.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import DimensionError, NumericDomainError, ParameterError
+from .errors import DimensionError, ParameterError
 
 RANK_TOL = 1e-9
-IDENTITY_TOL = 1e-10
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -23,12 +23,10 @@ def _as_matrix(m) -> np.ndarray:
     return a
 
 
-def det(m) -> complex:
-    """Determinant of a square matrix (LU with partial pivoting)."""
-    a = _as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"determinant requires a square matrix, got {a.shape}")
-    return complex(np.linalg.det(a.astype(complex)))
+def check_tol(tol: float, what: str = "tolerance") -> None:
+    """Raise ParameterError unless ``tol`` is finite and positive."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ParameterError(f"{what} must be finite and positive, got {tol}")
 
 
 def rank(m, tol: float = RANK_TOL) -> int:
@@ -37,8 +35,7 @@ def rank(m, tol: float = RANK_TOL) -> int:
     Singular values are used instead of Gaussian elimination so that nearly
     singular difference matrices are classified robustly.
     """
-    if tol <= 0:
-        raise ParameterError("rank tolerance must be positive")
+    check_tol(tol, "rank tolerance")
     a = _as_matrix(m)
     s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
@@ -52,13 +49,6 @@ def frobenius_norm_sq(m) -> float:
     return float(np.sum(np.abs(a) ** 2))
 
 
-def is_hermitian(m, tol: float = IDENTITY_TOL) -> bool:
-    a = _as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        return False
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
-
-
 def is_unitary(m, tol: float = 1e-9) -> bool:
     a = _as_matrix(m)
     if a.shape[0] != a.shape[1]:
@@ -67,30 +57,7 @@ def is_unitary(m, tol: float = 1e-9) -> bool:
     return bool(np.linalg.norm(g - np.eye(a.shape[0])) <= tol)
 
 
-def hermitian_inv_sqrt(m, tol: float = 1e-12) -> np.ndarray:
-    """Inverse square root W of a Hermitian positive-definite matrix.
-
-    Returns W with W M W^H = I. Eigen-decomposition based; raises
-    NumericDomainError for non-Hermitian or non-positive-definite input.
-    """
-    a = _as_matrix(m).astype(complex)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"inverse square root requires a square matrix, got {a.shape}")
-    if not is_hermitian(a, tol=1e-9):
-        raise NumericDomainError("matrix is not Hermitian")
-    w, v = np.linalg.eigh(a)
-    if w[0] <= tol * max(abs(w[-1]), 1.0):
-        raise NumericDomainError("matrix is not positive definite")
-    return (v * (1.0 / np.sqrt(w))) @ v.conj().T
-
-
 def real_stack(v) -> np.ndarray:
     """Stack a complex vector as [Re(v); Im(v)]."""
     a = np.asarray(v)
     return np.concatenate([a.real, a.imag], axis=-1)
-
-
-def real_operator(m) -> np.ndarray:
-    """Real 2n x 2m block matrix [[Re, -Im], [Im, Re]] acting on stacked vectors."""
-    a = _as_matrix(m)
-    return np.block([[a.real, -a.imag], [a.imag, a.real]])

@@ -5,10 +5,11 @@ Transmission model (broadcast phase, then cooperation phase):
     y_1 = sqrt(pi1 P) g0 s + w1
     r_i = sqrt(pi1 P) f_i s + v_i                      received at relay i
     t_i = sqrt(pi3 P / (pi1 P + 1)) (A_i r_i + B_i r_i*)
-    y_2 = sum_i g_i t_i + sqrt(pi2 P) g0 (A0 s + B0 s*) + w2
+    y_2 = sum_i g_i t_i + w2
 
-with all noises CN(0, I) and power factors pi1 + pi2 + R*pi3 = T1 + T2 so
-that P is the total average power spent per channel use. With phase-only
+with all noises CN(0, I) and power factors pi1 + R*pi3 = T1 + T2 so that P
+is the total average power spent per channel use; the source is silent in
+the cooperation phase (pi2 = 0). With phase-only
 CSI the relays pre-compensate the phase of f_i, so the effective
 source-relay gain is the Rayleigh magnitude |CN(0,1)|.
 
@@ -18,8 +19,7 @@ and S is the dispersion matrix assembled by ``dstc_matrix``.
 Decoding is exact ML on the real-stacked representation: when some relay
 conjugates (B_i != 0) the forwarded noise can be improper, so second-order
 statistics are kept as a real covariance of the stacked (Re, Im) vector and
-the metric is covariance-weighted there. For codes whose dispersion rows
-are orthonormal this collapses to the familiar scalar whitening.
+the metric is weighted by its inverse there.
 
 Monte Carlo estimation uses counter-based RNG streams keyed by
 (seed, snr index, chunk index): chunk boundaries are fixed regardless of
@@ -48,24 +48,17 @@ import numpy as np
 from .code_library import LinearDispersionCode, scaled_relay_pairs
 from .constraint_checker import check_power, dispersion_matrix
 from .diversity_analyzer import Constellation
-from .errors import (
-    ContractError,
-    DimensionError,
-    InsufficientDataError,
-    NumericDomainError,
-    ParameterError,
-)
-from .matrix_core import hermitian_inv_sqrt, real_operator, real_stack
+from .errors import ContractError, DimensionError, InsufficientDataError, ParameterError
+from .matrix_core import real_stack
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
 @dataclass(frozen=True)
 class PowerAllocation:
-    """Power split between broadcast, source cooperation, and the relays."""
+    """Power split between the broadcast phase and the relays."""
 
     pi1: float
-    pi2: float
     pi3: float
     p: float
     t1: int
@@ -73,22 +66,34 @@ class PowerAllocation:
     n_relays: int
 
     def __post_init__(self):
-        if min(self.pi1, self.pi2, self.pi3) < 0 or self.p <= 0:
+        if not all(map(math.isfinite, (self.pi1, self.pi3, self.p))):
+            raise ParameterError(
+                f"power factors and P must be finite, got pi1={self.pi1}, pi3={self.pi3}, P={self.p}"
+            )
+        if min(self.pi1, self.pi3) < 0 or self.p <= 0:
             raise ParameterError("power factors must be nonnegative and P positive")
-        total = self.pi1 + self.pi2 + self.n_relays * self.pi3
+        total = self.pi1 + self.n_relays * self.pi3
         if abs(total - (self.t1 + self.t2)) > 1e-12 * max(1.0, self.t1 + self.t2):
             raise ParameterError(
-                f"power factors must satisfy pi1 + pi2 + R*pi3 = T1 + T2 "
+                f"power factors must satisfy pi1 + R*pi3 = T1 + T2 "
                 f"(got {total} vs {self.t1 + self.t2})"
             )
 
     @staticmethod
     def equal_split(code: LinearDispersionCode, p: float, pi: tuple | None = None) -> "PowerAllocation":
-        """Default split: half to the broadcast phase, half shared by the relays."""
+        """The split at power ``p``: by default half to the broadcast phase, half shared by the relays.
+
+        ``pi`` gives the factors (pi1, pi2, pi3) instead; pi2 must be 0.
+        """
         t1, t2, r = code.K, code.T, code.N
         if pi is None:
-            pi = ((t1 + t2) / 2.0, 0.0, (t1 + t2) / (2.0 * r))
-        return PowerAllocation(pi[0], pi[1], pi[2], p, t1, t2, r)
+            return PowerAllocation((t1 + t2) / 2.0, (t1 + t2) / (2.0 * r), p, t1, t2, r)
+        if len(pi) != 3:
+            raise ParameterError(f"need three power factors pi1,pi2,pi3, got {len(pi)}")
+        if pi[1] != 0:
+            # no family defines the source's cooperation matrices (A0, B0), so that power would be lost
+            raise ParameterError(f"pi2 must be 0, got {pi[1]}: the source sends nothing in the cooperation phase")
+        return PowerAllocation(pi[0], pi[2], p, t1, t2, r)
 
     @property
     def broadcast_amp(self) -> float:
@@ -105,10 +110,6 @@ class PowerAllocation:
     @property
     def combined_scale(self) -> float:
         return self.broadcast_amp * self.relay_gain
-
-    @property
-    def source_coop_amp(self) -> float:
-        return math.sqrt(self.pi2 * self.p)
 
 
 @dataclass(frozen=True)
@@ -153,10 +154,7 @@ class ReceivedSignal:
 
     y1: np.ndarray
     y2: np.ndarray
-    h: np.ndarray
-    omega: np.ndarray  # complex covariance E[n n^H] of the stacked noise
     cov_real: np.ndarray  # covariance of the stacked (Re, Im) noise vector
-    transform: np.ndarray | None = None  # complex matrix already applied to y (whitening)
 
     @property
     def y(self) -> np.ndarray:
@@ -176,26 +174,6 @@ def _validate(code: LinearDispersionCode, ch: ChannelRealization, pa: PowerAlloc
         )
     if ch.n_relays != code.N:
         raise DimensionError(f"channel has {ch.n_relays} relays, code has {code.N}")
-
-
-def noise_covariance(code: LinearDispersionCode, ch: ChannelRealization, pa: PowerAllocation) -> np.ndarray:
-    """Complex covariance E[W W^H] of the stacked noise.
-
-    Broadcast block is the identity; the cooperation block is
-    I + kappa * sum_i |g_i|^2 (A_i A_i^H + B_i B_i^H). The conjugating part
-    of the relays can additionally make the noise improper; the pseudo
-    covariance is carried by ``noise_covariance_real``.
-    """
-    _validate(code, ch, pa)
-    t1, t2 = pa.t1, pa.t2
-    omega = np.eye(t1 + t2, dtype=complex)
-    coop = np.eye(t2, dtype=complex)
-    for gi, pair in zip(ch.g, scaled_relay_pairs(code)):
-        coop += pa.relay_gain_sq * abs(gi) ** 2 * (
-            pair.a @ pair.a.conj().T + pair.b @ pair.b.conj().T
-        )
-    omega[t1:, t1:] = coop
-    return omega
 
 
 def noise_covariance_real(code: LinearDispersionCode, ch: ChannelRealization, pa: PowerAllocation) -> np.ndarray:
@@ -229,8 +207,6 @@ def simulate_transmission(
     pa: PowerAllocation,
     rng: np.random.Generator | None = None,
     add_noise: bool = True,
-    a0: np.ndarray | None = None,
-    b0: np.ndarray | None = None,
 ) -> ReceivedSignal:
     """One pass of the two-phase protocol for a single source vector ``s``.
 
@@ -261,31 +237,16 @@ def simulate_transmission(
         r_i = pa.broadcast_amp * fi * s + cn(pa.t1)
         t_i = pa.relay_gain * (pair.a @ r_i + pair.b @ r_i.conj())
         y2 = y2 + gi * t_i
-    if pa.pi2 > 0 and a0 is not None:
-        b0 = np.zeros_like(a0) if b0 is None else b0
-        y2 = y2 + pa.source_coop_amp * ch.g0 * (a0 @ s + b0 @ s.conj())
     y2 = y2 + cn(pa.t2)
-    return ReceivedSignal(
-        y1=y1,
-        y2=y2,
-        h=ch.h,
-        omega=noise_covariance(code, ch, pa),
-        cov_real=noise_covariance_real(code, ch, pa),
-    )
+    return ReceivedSignal(y1=y1, y2=y2, cov_real=noise_covariance_real(code, ch, pa))
 
 
-def dstc_matrix(
-    code: LinearDispersionCode,
-    s: np.ndarray,
-    pa: PowerAllocation,
-    a0: np.ndarray | None = None,
-    b0: np.ndarray | None = None,
-) -> np.ndarray:
+def dstc_matrix(code: LinearDispersionCode, s: np.ndarray, pa: PowerAllocation) -> np.ndarray:
     """The (T1+T2) x (R+1) dispersion matrix S with y = combined_scale * S h + W.
 
     Column 0 carries the broadcast phase, sqrt((pi1 P + 1)/(pi3 P)) * s on
-    top and the optional source cooperation vector below; column i >= 1 is
-    relay i's contribution A_i s + B_i s*.
+    top and zeros below, the source being silent in the cooperation phase;
+    column i >= 1 is relay i's contribution A_i s + B_i s*.
     """
     s = np.asarray(s, dtype=complex)
     if s.shape != (code.K,):
@@ -293,41 +254,9 @@ def dstc_matrix(
     pairs = scaled_relay_pairs(code)
     mat = np.zeros((pa.t1 + pa.t2, code.N + 1), dtype=complex)
     mat[: pa.t1, 0] = math.sqrt((pa.pi1 * pa.p + 1.0) / (pa.pi3 * pa.p)) * s
-    if pa.pi2 > 0 and a0 is not None:
-        b0 = np.zeros_like(a0) if b0 is None else b0
-        coeff = math.sqrt(pa.pi2 * (pa.pi1 * pa.p + 1.0) / (pa.pi3 * pa.pi1 * pa.p))
-        mat[pa.t1 :, 0] = coeff * (a0 @ s + b0 @ s.conj())
     for i, pair in enumerate(pairs):
         mat[pa.t1 :, i + 1] = pair.a @ s + pair.b @ s.conj()
     return mat
-
-
-def whiten(sig: ReceivedSignal) -> ReceivedSignal:
-    """Premultiply the cooperation phase by the inverse square root of its covariance.
-
-    The broadcast block is already white. The real-stacked covariance is
-    transformed identically so the decoders stay exact even when the
-    forwarded noise is improper.
-    """
-    t2 = len(sig.y2)
-    t1 = len(sig.y1)
-    omega2 = sig.omega[t1:, t1:]
-    eig = np.linalg.eigvalsh(omega2)
-    if eig[0] <= 0 or eig[-1] / eig[0] > 1e12:
-        raise NumericDomainError("cooperation noise covariance is ill-conditioned")
-    w2 = hermitian_inv_sqrt(omega2)
-    full = np.eye(t1 + t2, dtype=complex)
-    full[t1:, t1:] = w2
-    tre = real_operator(full)
-    prev = np.eye(t1 + t2, dtype=complex) if sig.transform is None else sig.transform
-    return ReceivedSignal(
-        y1=sig.y1.copy(),
-        y2=w2 @ sig.y2,
-        h=sig.h,
-        omega=full @ sig.omega @ full.conj().T,
-        cov_real=tre @ sig.cov_real @ tre.T,
-        transform=full @ prev,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +288,7 @@ def quadrature_pair_values(constellation: Constellation, scale: float) -> np.nda
     return np.stack([scale * pts.real, scale * pts.imag], axis=1)
 
 
-def real_response_matrix(
-    code: LinearDispersionCode,
-    ch: ChannelRealization,
-    pa: PowerAllocation,
-    transform: np.ndarray | None = None,
-    a0: np.ndarray | None = None,
-    b0: np.ndarray | None = None,
-) -> np.ndarray:
+def real_response_matrix(code: LinearDispersionCode, ch: ChannelRealization, pa: PowerAllocation) -> np.ndarray:
     """Real (2(T1+T2), 2K) matrix mapping real symbols to the noiseless receive vector."""
     _validate(code, ch, pa)
     pairs = scaled_relay_pairs(code)
@@ -386,14 +308,8 @@ def real_response_matrix(
         )
         col_i[:t1] = pa.broadcast_amp * ch.g0 * np.eye(t1)[:, m]
         col_q[:t1] = pa.broadcast_amp * ch.g0 * 1j * np.eye(t1)[:, m]
-        if pa.pi2 > 0 and a0 is not None:
-            b0m = np.zeros_like(a0) if b0 is None else b0
-            col_i[t1:] += pa.source_coop_amp * ch.g0 * (a0 + b0m)[:, m]
-            col_q[t1:] += pa.source_coop_amp * ch.g0 * 1j * (a0 - b0m)[:, m]
         resp[:, 2 * m] = col_i
         resp[:, 2 * m + 1] = col_q
-    if transform is not None:
-        resp = transform @ resp
     return np.vstack([resp.real, resp.imag])
 
 
@@ -408,7 +324,7 @@ def ml_decode(
     symvecs = np.asarray(symvecs, dtype=complex)
     if symvecs.ndim != 2 or symvecs.shape[0] == 0:
         raise ParameterError("codebook of symbol vectors must be a nonempty (L, K) array")
-    mat = real_response_matrix(code, ch, pa, transform=sig.transform)
+    mat = real_response_matrix(code, ch, pa)
     reals = np.empty((symvecs.shape[0], 2 * code.K))
     reals[:, 0::2] = symvecs.real
     reals[:, 1::2] = symvecs.imag
@@ -442,7 +358,7 @@ def group_ml_decode(
 ) -> GroupDecision:
     """Per-group exhaustive ML over a partition of the real symbols.
 
-    Valid only when the whitened metric decouples across groups; the
+    Valid only when the covariance-weighted metric decouples across groups; the
     cross-group coupling of the quadratic form is checked and a
     ContractError reports its magnitude when it exceeds ``coupling_tol``
     (relative to the largest diagonal term).
@@ -450,7 +366,7 @@ def group_ml_decode(
     flat = sorted(i for g in groups for i in g)
     if flat != list(range(2 * code.K)):
         raise ParameterError("groups must partition the 2K real symbol indices")
-    mat = real_response_matrix(code, ch, pa, transform=sig.transform)
+    mat = real_response_matrix(code, ch, pa)
     sinv_m = np.linalg.solve(sig.cov_real, mat)
     gram = mat.T @ sinv_m
     b = sinv_m.T @ real_stack(sig.y)
@@ -509,12 +425,11 @@ class SimConfig:
             raise ParameterError(f"seed must lie in [0, 2**64), got {self.seed}")
         if len(self.snr_db) > 1 << 32 or max(self.trials, default=0) > self.chunk << 32:
             raise ParameterError("more than 2**32 SNR points or chunks per point")
-        if self.pi is not None:
-            if len(self.pi) != 3:
-                raise ParameterError(f"need three power factors pi1,pi2,pi3, got {len(self.pi)}")
-            if self.pi[1] > 0:
-                # no family defines the source's cooperation matrices (A0, B0), so that power would be lost
-                raise ParameterError("pi2 > 0 is not supported: the source sends nothing in the cooperation phase")
+        self.power_allocations()  # bad factors or SNRs fail here, before any kernel is built
+
+    def power_allocations(self) -> list[PowerAllocation]:
+        """The power split at each SNR point."""
+        return [PowerAllocation.equal_split(self.code, 10.0 ** (snr / 10.0), self.pi) for snr in self.snr_db]
 
 
 @dataclass(frozen=True)
@@ -983,7 +898,7 @@ def monte_carlo_ber(cfg: SimConfig, telemetry: dict | None = None) -> list[BerPo
     kernel, build_s, reused = _cached_kernel(cfg.code, cfg.constellation, cfg.partial_csi)
     if telemetry is not None:
         telemetry.update(kernel.layout.summary(), kernel_build_s=build_s, kernel_reused=reused)
-    pas = [PowerAllocation.equal_split(cfg.code, 10.0 ** (snr / 10.0), cfg.pi) for snr in cfg.snr_db]
+    pas = cfg.power_allocations()
     jobs = [
         (snr_idx, ci, min(cfg.chunk, trials - ci * cfg.chunk))
         for snr_idx, trials in enumerate(cfg.trials)

@@ -251,3 +251,33 @@ class TestConfigFile:
 
     def test_missing_config_is_usage_error(self, tmp_path):
         assert run(["--config", tmp_path / "none.json", "verify", "--family", "alamouti"]) == 2
+
+
+class TestFlagsAndBadInput:
+    @pytest.mark.parametrize(
+        "args",
+        [["construct", "--family", "alamouti", "--seed", 1], ["analyze", "--family", "alamouti", "--threads", 2]],
+        ids=["construct-seed", "analyze-threads"],
+    )
+    def test_flag_a_subcommand_does_not_read_is_usage_error(self, tmp_path, args):
+        assert run([*args, "--out", tmp_path / "x"]) == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["analyze", "--family", "ciod4", "--tol-rank", "-1"],
+            ["analyze", "--family", "alamouti", "--tol-rank", "nan"],
+            ["verify", "--family", "alamouti", "--tol-diag", "nan"],
+            ["simulate", "--family", "alamouti", "--trials", "10", "--pi", "1,0,nan"],
+            ["simulate", "--family", "alamouti", "--trials", "10", "--snr-db", "nan"],
+            ["simulate", "--family", "alamouti", "--trials", "10", "--blocks", "0"],
+            ["construct", "--family", "alamouti", "--blocks", "-1"],
+            ["dmg", "--relays", "0", "--samples", "100"],
+        ],
+        ids=["tol-rank-negative", "tol-rank-nan", "tol-diag-nan", "pi-nan", "snr-nan", "blocks-0", "blocks-negative",
+             "relays-0"],
+    )
+    def test_bad_input_exits_two_with_one_line(self, tmp_path, capsys, args):
+        assert run([*args, "--out", tmp_path / "x"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -127,6 +127,16 @@ class TestMinRank:
             cb = enumerate_codebook(code, con)
             assert min_rank_over_differences(cb) == naive_min_rank(cb)
 
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan")])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # a negative tolerance counted every singular value and reported rank-2 ciod4 as full rank
+        cb = enumerate_codebook(alamouti(), Constellation.bpsk())
+        spec = PrecodingSpec.quadrature_pairs(2, np.eye(2))
+        with pytest.raises(ParameterError, match="finite and positive"):
+            analyze_codebook(cb, tol=tol)
+        with pytest.raises(ParameterError, match="finite and positive"):
+            min_rank_group_differences(alamouti(), spec, tol=tol)
+
 
 class TestMinDet:
     def test_alamouti_bpsk_value(self):
