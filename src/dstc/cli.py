@@ -118,6 +118,20 @@ def _csv_float(x: float) -> str:
     return repr(float(x))
 
 
+def _process_record() -> dict:
+    """The process's peak resident set so far in MiB (None without ``resource``) and its versions."""
+    import platform  # only simulate manifests need these two, so `import dstc.cli` stays lean
+
+    try:
+        import resource
+    except ImportError:
+        peak = None
+    else:  # ru_maxrss is in KiB on Linux, in bytes on macOS
+        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        peak = round(rss / (2**20 if sys.platform == "darwin" else 2**10), 1)
+    versions = {"numpy": np.__version__, "python": platform.python_version(), "platform": platform.platform()}
+    return {"peak_rss_mb": peak, "versions": versions}
+
 
 def _manifest_path(args, default_stem: str) -> str:
     if args.manifest:
@@ -243,7 +257,7 @@ def cmd_simulate(args) -> int:
             "bundle": _sha256(json.dumps(lib.to_bundle(code), sort_keys=True).encode()),
             "csv": _sha256(text.encode()),
         },
-        {"decoder": decoder},
+        {"decoder": decoder, **_process_record()},
     )
     return 0
 

@@ -24,10 +24,14 @@ the metric is weighted by its inverse there.
 Monte Carlo estimation uses counter-based RNG streams keyed by
 (seed, snr index, chunk index): chunk boundaries are fixed regardless of
 thread count, and error counts are integers, so results are bit-identical
-under any parallelism. The per-codeword tables depend only on the code,
-the constellation and the CSI mode; they are built once per distinct
-content and kept in a byte-bounded cache shared by every call. While a call
-runs more than one worker, numpy's OpenBLAS is held at one thread, so the
+under any parallelism. A chunk draws its codewords, then runs draw,
+synthesis, decoding and counting block by block in row blocks of bounded
+bytes. The batched decoder decides each group of symbols that the code's
+metric leaves apart on its own, so single-symbol decodable codes are
+decoded symbol by symbol. Its tables depend only on the code, the
+constellation and the CSI mode; they are built once per distinct content
+and kept in a byte-bounded cache shared by every call. While a call runs
+more than one worker, numpy's OpenBLAS is held at one thread, so the
 workers do not oversubscribe the cores.
 """
 
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import os
 import threading
 import time
 from collections import OrderedDict
@@ -273,13 +278,15 @@ def codebook_symbol_vectors(
     Codeword index is the base-M number of the digits, first symbol most
     significant.
     """
-    m = constellation.size
-    digits = np.stack(
-        np.meshgrid(*([np.arange(m)] * code.K), indexing="ij"), axis=-1
-    ).reshape(-1, code.K)
+    digits = _digit_grid(constellation.size, code.K)
     scale = 1.0 / math.sqrt(code.K * constellation.mean_energy())
     pts = np.asarray(constellation.points)
     return scale * pts[digits], digits, scale
+
+
+def _digit_grid(m: int, k: int) -> np.ndarray:
+    """All (m**k, k) base-m digit rows in counting order, first digit most significant."""
+    return np.stack(np.meshgrid(*([np.arange(m)] * k), indexing="ij"), axis=-1).reshape(-1, k)
 
 
 def quadrature_pair_values(constellation: Constellation, scale: float) -> np.ndarray:
@@ -429,7 +436,14 @@ class SimConfig:
 
     def power_allocations(self) -> list[PowerAllocation]:
         """The power split at each SNR point."""
-        return [PowerAllocation.equal_split(self.code, 10.0 ** (snr / 10.0), self.pi) for snr in self.snr_db]
+        return [PowerAllocation.equal_split(self.code, _snr_power(snr), self.pi) for snr in self.snr_db]
+
+
+def _snr_power(snr_db: float) -> float:
+    try:
+        return 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        raise ParameterError(f"SNR {snr_db} dB is out of range: 10^(SNR/10) overflows") from None
 
 
 @dataclass(frozen=True)
@@ -458,9 +472,9 @@ def wilson_interval(k: int, n: int, z: float = _WILSON_Z) -> tuple[float, float]
     return (lo, hi)
 
 
-# Bytes one decode row block may hold: its (rows, L) metric block, its
-# (rows, D) feature rows and their temporaries.
-DECODE_BLOCK_BYTES = 32 << 20
+# Bytes one row block of a chunk may hold: its normal draws, its synthesis
+# arrays and its decode arrays (features, metric block and temporaries).
+BLOCK_BYTES = 8 << 20
 _NOISE_TOL = 1e-12
 
 
@@ -471,24 +485,35 @@ class DecoderLayout:
     Under the ``scalar`` and ``diagonal`` noise paths the cooperation noise is
     white within each group of slots that share a per-relay noise diagonal
     (one group under ``scalar``). The metric is then one real GEMM of
-    per-trial features against a (codewords, feature_width) table, done in
-    row blocks of at most ``block_rows`` trials. The improper ``general``
-    path whitens each trial in full and has no table.
+    per-trial features against a table whose columns are linear and
+    quadratic forms (``forms``) in the real symbols. The metric splits into
+    a sum over ``symbol_groups``, the symbols that no cross term of the
+    forms ties to the rest, so the table holds one row per candidate of
+    each group, ``decode_candidates`` rows in all: every symbol alone for
+    the single-symbol decodable codes, one joint group of all codewords
+    otherwise. The improper ``general`` path whitens each trial in full,
+    has no table and scores every codeword.
 
-    Per group, ``z_keep`` selects the relay columns (real parts, imaginary
-    parts) and ``gram_keep`` the gram entries, with their weights, that the
-    table holds. On the diagonal path ``forms`` gives the table's column and
-    gram parts as linear and quadratic forms in the real symbols.
+    For each run of table columns, ``z_keep`` and ``gram_keep`` give the
+    trial products it weighs (relay columns or gram entries, real and
+    imaginary parts interleaved), their slot group and, for the gram, their
+    weights. A
+    chunk runs draw, synthesis, decoding and counting in row blocks of at
+    most ``block_rows`` trials. ``kernel_bytes`` estimates the kernel's
+    per-codeword arrays at their peak while it is built.
     """
 
     noise_path: str
     slot_groups: tuple[tuple[int, ...], ...]  # cooperation slots of each noise-weight group
     noise_diag: np.ndarray | None  # (R, G): per-relay noise diagonal of each group
     codewords: int
+    symbol_groups: tuple[tuple[int, ...], ...]  # complex symbols decided together
+    decode_candidates: int  # table rows, or codewords scored per trial on the general path
+    block_rows: int
+    kernel_bytes: int
     feature_width: int | None = None
-    block_rows: int | None = None
-    z_keep: tuple | None = None  # (re, im): per group, columns of the (T2 R) relay columns
-    gram_keep: tuple | None = None  # (re, im): per group, (entries of the R R gram, weights)
+    z_keep: tuple | None = None  # per column run: (product columns, slot group) of relay-column features
+    gram_keep: tuple | None = None  # per column run: (product columns, slot group, weights) of gram features
     forms: tuple | None = None  # (linear (2K, .), quadratic (P, .)) coefficients
 
     def summary(self) -> dict:
@@ -497,52 +522,73 @@ class DecoderLayout:
             "noise_path": self.noise_path,
             "noise_groups": len(self.slot_groups),
             "codewords": self.codewords,
+            "symbol_groups": [list(g) for g in self.symbol_groups],
+            "decode_candidates": self.decode_candidates,
             "feature_width": self.feature_width,
-            "decode_block_rows": self.block_rows,
+            "block_rows": self.block_rows,
         }
 
 
 def decoder_layout(code: LinearDispersionCode, constellation: Constellation) -> DecoderLayout:
-    """The decoder layout for a code and constellation, without building the codeword table."""
-    return _layout(scaled_relay_pairs(code), constellation.size**code.K)
+    """The decoder layout for a code and constellation, without building any per-codeword array."""
+    return _layout(scaled_relay_pairs(code), constellation.size)
 
 
-def _layout(pairs, codewords: int) -> DecoderLayout:
-    """Classify the forwarded noise from the dispersion Grams Z_r Z_r^T and lay the table out.
+def _layout(pairs, m: int) -> DecoderLayout:
+    """Classify the forwarded noise from the dispersion Grams Z_r Z_r^T and lay the decoder out.
 
     Diagonal Grams with equal real and imaginary halves keep the noise
     proper and white per slot; slots are then grouped by their per-relay
-    diagonal. Anything else takes the ``general`` path.
+    diagonal. Anything else takes the ``general`` path. ``m`` is the
+    constellation size.
     """
     a, b = np.stack([p.a for p in pairs]), np.stack([p.b for p in pairs])
     r, t2, k = a.shape
+    codewords = m**k
     zz = np.stack([z @ z.T for z in map(dispersion_matrix, pairs)])
     diag = np.diagonal(zz, axis1=1, axis2=2)  # (R, 2T2)
     off = np.max(np.abs(zz - diag[:, :, None] * np.eye(2 * t2)))
     d_re = diag[:, :t2]
+    # per trial: the normal draws, the synthesis arrays (relay columns of the sent codeword
+    # included) and the counting gathers
+    width = 1 + 2 * r + k + r * k + t2
+    row_bytes = 16 * (width + 4 * k + 3 * r * k + 8 * t2 + 2 * t2 * r + 2 * r) + 24 * k
+    # per codeword held: symbols, digits and relay columns, the latter three times while built
+    held = codewords * (24 * k + 48 * t2 * r)
     if off > _NOISE_TOL or np.max(np.abs(d_re - diag[:, t2:])) > _NOISE_TOL:
-        return DecoderLayout("general", (), None, codewords)
+        # per trial and codeword: the residuals, their real stack, whitened copy and metric rows
+        row_bytes += codewords * (80 * t2 + 64) + 160 * t2 * t2
+        return DecoderLayout(
+            "general", (), None, codewords, (tuple(range(k)),), codewords,
+            _block_rows(row_bytes), held + 8 * codewords,
+        )  # fmt: skip
     # each slot joins the group of the first slot with the same diagonal
     first = np.argmax(np.max(np.abs(d_re[:, :, None] - d_re[:, None, :]), axis=0) <= _NOISE_TOL, axis=0)
     leaders = sorted(set(first.tolist()))
     groups = tuple(tuple(np.flatnonzero(first == t).tolist()) for t in leaders)
     noise_diag = np.ascontiguousarray(d_re[:, leaders])
-    if len(groups) == 1:
-        # every relay column and gram entry: scalar-path results are pinned to this layout's rounding
-        z_keep = ([slice(None)], [slice(None)])
-        gram_keep = ([(slice(None), 1.0)], [(slice(None), 1.0)])
-        width, forms = 1 + 2 * k + 2 * t2 * r + 2 * r * r, None
-    else:
-        z_keep, gram_keep, forms = _diagonal_forms(a, b, groups)
-        width = 1 + 2 * k + forms[0].shape[1] + forms[1].shape[1]
-    row_bytes = 8 * (codewords + 2 * width) + 16 * (t2 * r + r * r)
-    rows = max(3, DECODE_BLOCK_BYTES // row_bytes)
+    z_keep, gram_keep, forms = _diagonal_forms(a, b, groups)
+    feature_width = 1 + 2 * k + forms[0].shape[1] + forms[1].shape[1]
+    symbol_groups = _symbol_groups(forms[1], k)
+    candidates = sum(m ** len(g) for g in symbol_groups)
+    # per trial: features, the metric block, the relay and gram products and their slices
+    row_bytes += 16 * feature_width + 8 * candidates + 32 * (t2 * r + r * r + k + 2 * r)
+    if len(symbol_groups) == 1:
+        held += 8 * feature_width * codewords  # the joint table
     path = "scalar" if len(groups) == 1 else "diagonal"
-    return DecoderLayout(path, groups, noise_diag, codewords, width, rows, z_keep, gram_keep, forms)
+    return DecoderLayout(
+        path, groups, noise_diag, codewords, symbol_groups, candidates, _block_rows(row_bytes), held,
+        feature_width, z_keep, gram_keep, forms,
+    )  # fmt: skip
+
+
+def _block_rows(row_bytes: int) -> int:
+    """Trials per row block: as many as ``BLOCK_BYTES`` holds, at least 3 so no block has a single row."""
+    return max(3, BLOCK_BYTES // row_bytes)
 
 
 def _diagonal_forms(a: np.ndarray, b: np.ndarray, groups) -> tuple:
-    """Table layout of the diagonal path: (z_keep, gram_keep, forms); ``a``, ``b`` stack (A_r, B_r).
+    """Table layout of the proper noise paths: (z_keep, gram_keep, forms); ``a``, ``b`` stack (A_r, B_r).
 
     The relay columns are linear in the real symbols x = (Re s, Im s),
     C_t = sum_j x_j M_jt, so they are linear forms in x and each group's gram
@@ -564,20 +610,65 @@ def _diagonal_forms(a: np.ndarray, b: np.ndarray, groups) -> tuple:
     mc = m.reshape(2 * k, t2 * r)
     ends = np.cumsum(sizes) * r
     spans = [(end - size * r, end) for size, end in zip(sizes, ends)]  # each group's relay columns
-    col_re, col_im = np.any(mc.real != 0, axis=0), np.any(mc.imag != 0, axis=0)  # nonzero forms
-    z_re = [lo + np.flatnonzero(col_re[lo:hi]) for lo, hi in spans]
-    z_im = [lo + np.flatnonzero(col_im[lo:hi]) for lo, hi in spans]
-    upper, strict = np.flatnonzero(ea <= eb), np.flatnonzero(ea < eb)
-    ent_re, ent_im = np.any(w.real != 0, axis=1), np.any(w.imag != 0, axis=1)  # (G, R R)
-    gram_re = [upper[used[upper]] for used in ent_re]
-    gram_im = [strict[used[strict]] for used in ent_im]
-    z_keep = (z_re, z_im)
-    gram_keep = ([(e, np.where(ea[e] < eb[e], 2.0, 1.0)) for e in gram_re], [(e, 2.0) for e in gram_im])
-    linear = np.hstack([mc.real[:, c] for c in z_re] + [mc.imag[:, c] for c in z_im])
-    quadratic = np.hstack(
-        [wg[:, e].real for wg, e in zip(w, gram_re)] + [wg[:, e].imag for wg, e in zip(w, gram_im)]
-    )
-    return z_keep, gram_keep, (linear, quadratic)
+    upper, strict = np.flatnonzero(ea <= eb), np.flatnonzero(ea < eb)  # a gram diagonal is real
+    # one run of table columns per (part, slot group): its forms and its (columns of the trial's
+    # (Re, Im)-interleaved products, slot group[, weights]); real parts first, then imaginary parts
+    z_runs, gram_runs = [], []
+    for part, entries in ((0, upper), (1, strict)):
+        for grp, (lo, hi) in enumerate(spans):
+            forms = (mc.imag if part else mc.real)[:, lo:hi]
+            c = np.flatnonzero(np.any(forms != 0, axis=0))
+            z_runs.append((forms[:, c], (2 * (lo + c) + part, grp)))
+        for grp, wg in enumerate(w):
+            forms = (wg.imag if part else wg.real)[:, entries]
+            used = np.any(forms != 0, axis=0)
+            e = entries[used]
+            weight = np.full(len(e), -2.0) if part else np.where(ea[e] < eb[e], 2.0, 1.0)
+            gram_runs.append((forms[:, used], (2 * e + part, grp, weight)))
+    z_runs, gram_runs = ([run for run in runs if run[0].shape[1]] for runs in (z_runs, gram_runs))
+    linear, quadratic = (np.hstack([forms for forms, _ in runs]) for runs in (z_runs, gram_runs))
+    return tuple(keep for _, keep in z_runs), tuple(keep for _, keep in gram_runs), (linear, quadratic)
+
+
+def _symbol_groups(quadratic: np.ndarray, k: int) -> tuple[tuple[int, ...], ...]:
+    """The complex symbols tied together by a cross monomial with a nonzero row in the quadratic forms.
+
+    Row p of ``quadratic`` weighs x_j x_i (the p-th j <= i) in every table
+    column; real symbol j belongs to complex symbol j mod K. A cross row
+    that is exactly zero leaves its two symbols apart for every channel and
+    noise weight, so the metric is a sum over the connected components.
+    """
+    j, i = np.triu_indices(2 * k)
+    sj, si = j % k, i % k
+    tied = (sj != si) & np.any(quadratic != 0, axis=1)
+    reach = np.eye(k, dtype=bool)
+    reach[sj[tied], si[tied]] = reach[si[tied], sj[tied]] = True
+    for _ in range(k):  # transitive closure
+        reach = (reach.astype(np.int64) @ reach) > 0
+    return tuple(sorted({tuple(np.flatnonzero(row).tolist()) for row in reach}))
+
+
+def _form_table(sym: np.ndarray, forms: tuple) -> np.ndarray:
+    """Table rows [||s||^2, Re s, Im s, linear forms, quadratic forms] of source vectors ``sym`` (n, K)."""
+    linear, quadratic = forms
+    k = sym.shape[1]
+    x = np.hstack([sym.real, sym.imag])
+    j, i = np.triu_indices(2 * k)
+    mid = 1 + 2 * k + linear.shape[1]
+    table = np.empty((len(sym), mid + quadratic.shape[1]))
+    table[:, 0] = np.sum(np.abs(sym) ** 2, axis=1)
+    table[:, 1 : 1 + 2 * k] = x
+    np.matmul(x, linear, out=table[:, 1 + 2 * k : mid])
+    np.matmul(x[:, j] * x[:, i], quadratic, out=table[:, mid:])
+    return table
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the system does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def _row_blocks(n: int, rows: int) -> list[tuple[int, int]]:
@@ -601,6 +692,14 @@ class _Kernel:
     def __init__(self, code: LinearDispersionCode, con: Constellation, partial_csi: bool):
         self.partial_csi = partial_csi
         pairs = scaled_relay_pairs(code)
+        self.layout = layout = _layout(pairs, con.size)
+        memory = _physical_memory()
+        if memory and layout.kernel_bytes > memory // 2:
+            raise ParameterError(
+                f"{layout.codewords} codewords need about {layout.kernel_bytes / 2**30:.1f} GiB to simulate, "
+                f"more than half of the {memory / 2**30:.1f} GiB of memory"
+            )
+        self.noise_path = layout.noise_path
         self.a = np.stack([p.a for p in pairs])  # (R, T2, T1)
         self.b = np.stack([p.b for p in pairs])
         self.r, self.t2, self.t1 = self.a.shape
@@ -620,44 +719,33 @@ class _Kernel:
         if not partial_csi:
             self.cols_a, self.cols_b = cols_a, cols_b
         del cols_a, cols_b
-        self.energy1 = np.sum(np.abs(self.sym) ** 2, axis=1).real  # (L,)
-        self.layout = layout = _layout(pairs, self.L)
-        self.noise_path = layout.noise_path
         if self.noise_path == "general":
             t2 = self.t2
             jt = np.block([[np.zeros((t2, t2)), -np.eye(t2)], [np.eye(t2), np.zeros((t2, t2))]])
             zz = np.stack([dispersion_matrix(p) @ dispersion_matrix(p).T for p in pairs])
+            self.energy1 = np.sum(np.abs(self.sym) ** 2, axis=1)  # (L,)
             self.gen_m = zz
             self.gen_k = np.stack([jt @ m - m @ jt for m in zz])
             self.gen_l = np.stack([-(jt @ m @ jt) for m in zz])
             return
-        # Per-codeword table of the metric's single GEMM, one row per codeword:
-        # [||s||^2, Re s, Im s, Re C, Im C, Re G_g..., Im G_g...] with the
-        # relay columns C in group order of the slots and G_g = sum_{t in g}
-        # conj(C_t) C_t^T the gram of each noise-weight group, as the layout keeps them.
         order = [t for grp in layout.slot_groups for t in grp]
         self.slot_order = slice(None) if order == sorted(order) else order
-        k = self.t1
-        table = np.empty((self.L, layout.feature_width))
-        table[:, 0] = self.energy1
-        table[:, 1 : 1 + k] = self.sym.real
-        table[:, 1 + k : 1 + 2 * k] = self.sym.imag
-        if layout.forms is None:  # scalar path: einsum grams, the rounding its pinned results rest on
-            tr, rr = self.t2 * self.r, self.r * self.r
-            cols, grams = table[:, 1 + 2 * k : 1 + 2 * k + 2 * tr], table[:, 1 + 2 * k + 2 * tr :]
-            cols[:, :tr] = self.cols.reshape(self.L, tr).real
-            cols[:, tr:] = self.cols.reshape(self.L, tr).imag
-            gram = np.einsum("lta,ltb->lab", np.conj(self.cols), self.cols).reshape(self.L, rr)
-            grams[:, :rr] = gram.real
-            grams[:, rr:] = gram.imag
-        else:
-            linear, quadratic = layout.forms
-            x = np.hstack([self.sym.real, self.sym.imag])
-            j, i = np.triu_indices(2 * k)
-            mid = 1 + 2 * k + linear.shape[1]
-            np.matmul(x, linear, out=table[:, 1 + 2 * k : mid])
-            np.matmul(x[:, j] * x[:, i], quadratic, out=table[:, mid:])
-        self.table = table  # (L, D); the GEMM reads its transpose in place
+        # One table segment per symbol group, one row per candidate of the group: the
+        # group's symbols take their candidate's points and every other symbol is 0.
+        # ``places`` holds each candidate's share of the codeword index.
+        m, k = con.size, self.t1
+        points = self.scale * np.asarray(con.points)
+        segments, places = [], []
+        for grp in layout.symbol_groups:
+            digits = _digit_grid(m, len(grp))
+            sym = np.zeros((len(digits), k), dtype=complex)
+            sym[:, grp] = points[digits]
+            segments.append(_form_table(sym, layout.forms))
+            places.append(digits @ (m ** (k - 1 - np.array(grp))))
+        stops = np.cumsum([len(p) for p in places]).tolist()
+        self.spans = list(zip([0, *stops[:-1]], stops))  # each group's rows of the table
+        self.table = np.concatenate(segments)  # (candidates, D); the GEMM reads its transpose in place
+        self.places = np.concatenate(places).astype(np.intp)
 
     @property
     def nbytes(self) -> int:
@@ -665,9 +753,9 @@ class _Kernel:
         forms = self.layout.forms or ()
         return sum(v.nbytes for v in (*vars(self).values(), *forms) if isinstance(v, np.ndarray))
 
-    def simulate_batch(self, pa: PowerAllocation, rng: np.random.Generator, n: int):
-        """Draw one batch of trials; fixed draw order (idx, then one normal block)."""
-        idx = rng.integers(0, self.L, n)
+    def simulate_batch(self, pa: PowerAllocation, rng: np.random.Generator, idx: np.ndarray):
+        """Draw the channels and noise of the trials sending codewords ``idx``, one normal block."""
+        n = len(idx)
         width = 1 + 2 * self.r + self.t1 + self.r * self.t1 + self.t2
         block = rng.standard_normal((n, 2 * width)).view(np.complex128)
         block *= 1.0 / np.sqrt(2)
@@ -704,7 +792,7 @@ class _Kernel:
                 + np.einsum("br,btr->bt", g * np.conj(f), self.cols_b[idx])
             )
         y2 = rg * (sig2 + noise2) + w2
-        return idx, g0, g, f, y1, y2
+        return g0, g, f, y1, y2
 
     def _features(self, pa: PowerAllocation, g0, g, f, y1, y2) -> np.ndarray:
         """Per-trial rows phi with phi @ table.T the ML metric up to per-trial constants.
@@ -719,39 +807,33 @@ class _Kernel:
         hh = g * f
         winv = 1.0 / (1.0 + pa.relay_gain_sq * (np.abs(g) ** 2 @ self.layout.noise_diag))  # (n, G)
         a1 = np.conj(g0)[:, None] * y1
-        z = (np.conj(hh)[:, None, :] * y2[:, self.slot_order, None]).reshape(n, -1)
-        outer = (np.conj(hh)[:, :, None] * hh[:, None, :]).reshape(n, -1)
+        # the (Re, Im)-interleaved products each table column weighs
+        z = (np.conj(hh)[:, None, :] * y2[:, self.slot_order, None]).reshape(n, -1).view(np.float64)
+        outer = (np.conj(hh)[:, :, None] * hh[:, None, :]).reshape(n, -1).view(np.float64)
+        k = y1.shape[1]
         phi = np.empty((n, self.layout.feature_width))
-        pos = 0
-
-        def put(part, coeff):
-            nonlocal pos
-            width = part.shape[1]
-            np.multiply(part, coeff, out=phi[:, pos : pos + width])
-            pos += width
-
-        put((np.abs(g0) ** 2)[:, None], 2.0 * c1 * c1)
-        put(a1.real, -4.0 * c1)
-        put(a1.imag, -4.0 * c1)
-        for zpart, keep in zip((z.real, z.imag), self.layout.z_keep):
-            for j, cols in enumerate(keep):
-                put(zpart[:, cols], (-4.0 * c2) * winv[:, j : j + 1])
-        re, im = self.layout.gram_keep
-        for opart, coeff, keep in ((outer.real, 2.0 * c2 * c2, re), (outer.imag, -2.0 * c2 * c2, im)):
-            for j, (entries, weight) in enumerate(keep):
-                put(opart[:, entries], coeff * (winv[:, j : j + 1] * weight))
+        np.multiply(np.abs(g0) ** 2, 2.0 * c1 * c1, out=phi[:, 0])
+        np.multiply(a1.real, -4.0 * c1, out=phi[:, 1 : 1 + k])
+        np.multiply(a1.imag, -4.0 * c1, out=phi[:, 1 + k : 1 + 2 * k])
+        pos = 1 + 2 * k
+        zw = (-4.0 * c2) * winv
+        for cols, grp in self.layout.z_keep:
+            np.multiply(z[:, cols], zw[:, grp : grp + 1], out=phi[:, pos : pos + len(cols)])
+            pos += len(cols)
+        for cols, grp, weight in self.layout.gram_keep:
+            coeff = (2.0 * c2 * c2) * (winv[:, grp : grp + 1] * weight)
+            np.multiply(outer[:, cols], coeff, out=phi[:, pos : pos + len(cols)])
+            pos += len(cols)
         return phi
 
     def decode_batch(self, pa: PowerAllocation, g0, g, f, y1, y2) -> np.ndarray:
         """Exact ML decisions for a batch, whitened per the code's noise structure."""
-        n = len(g0)
         if self.noise_path != "general":
-            # one real GEMM against the codeword table, in row blocks of bounded memory
-            dec = np.empty(n, dtype=np.intp)
-            for lo, hi in _row_blocks(n, self.layout.block_rows):
-                phi = self._features(pa, g0[lo:hi], g[lo:hi], f[lo:hi], y1[lo:hi], y2[lo:hi])
-                np.argmin(phi @ self.table.T, axis=1, out=dec[lo:hi])
-                del phi  # freed before the next block's features are built
+            # one real GEMM against the table; each symbol group takes its best candidate
+            metric = self._features(pa, g0, g, f, y1, y2) @ self.table.T
+            dec = np.zeros(len(g0), dtype=np.intp)
+            for lo, hi in self.spans:
+                dec += self.places[lo + np.argmin(metric[:, lo:hi], axis=1)]
             return dec
         # improper forwarded noise: whiten each trial's real-stacked cooperation residual
         c1 = pa.broadcast_amp
@@ -772,13 +854,21 @@ class _Kernel:
         return np.argmin(m1 + m2, axis=1)
 
     def run_chunk(self, pa: PowerAllocation, seed: int, snr_idx: int, chunk_idx: int, n: int):
+        """Codeword and bit errors of one chunk: its codewords first, then draw to count per row block.
+
+        The normals of consecutive blocks are the chunk's one normal block
+        drawn in pieces, so the block size does not change the counts.
+        """
         rng = np.random.Generator(
             np.random.Philox(key=np.array([seed, (snr_idx << 32) + chunk_idx], dtype=np.uint64))
         )
-        idx, g0, g, f, y1, y2 = self.simulate_batch(pa, rng, n)
-        dec = self.decode_batch(pa, g0, g, f, y1, y2)
-        cw = int(np.sum(dec != idx))
-        bits = int(self.bitdist[self.digits[idx], self.digits[dec]].sum())
+        idx = rng.integers(0, self.L, n)
+        cw = bits = 0
+        for lo, hi in _row_blocks(n, self.layout.block_rows):
+            sent = idx[lo:hi]
+            dec = self.decode_batch(pa, *self.simulate_batch(pa, rng, sent))
+            cw += int(np.count_nonzero(dec != sent))
+            bits += int(self.bitdist[self.digits[sent], self.digits[dec]].sum())
         return cw, bits
 
 
@@ -890,20 +980,23 @@ def monte_carlo_ber(cfg: SimConfig, telemetry: dict | None = None) -> list[BerPo
     Trials are processed in fixed-size chunks with independent counter-based
     RNG streams; results are identical for any thread count. With more than
     one worker, numpy's OpenBLAS runs at one thread until the call returns.
-    ``telemetry``, when given, receives the decoder summary,
-    ``kernel_build_s`` (0 when the kernel came from the cache),
+    ``telemetry``, when given, receives the decoder summary with
+    ``block_rows`` the largest row block the call ran, ``kernel_build_s``
+    (0 when the kernel came from the cache),
     ``kernel_reused``, ``workers`` and ``blas_threads_per_worker`` (the
     OpenBLAS thread count while chunks ran, None when it cannot be reached).
     """
     kernel, build_s, reused = _cached_kernel(cfg.code, cfg.constellation, cfg.partial_csi)
-    if telemetry is not None:
-        telemetry.update(kernel.layout.summary(), kernel_build_s=build_s, kernel_reused=reused)
     pas = cfg.power_allocations()
     jobs = [
         (snr_idx, ci, min(cfg.chunk, trials - ci * cfg.chunk))
         for snr_idx, trials in enumerate(cfg.trials)
         for ci in range((trials + cfg.chunk - 1) // cfg.chunk)
     ]
+    if telemetry is not None:
+        telemetry.update(kernel.layout.summary(), kernel_build_s=build_s, kernel_reused=reused)
+        sizes = {n for _, _, n in jobs}
+        telemetry["block_rows"] = max(hi - lo for n in sizes for lo, hi in _row_blocks(n, kernel.layout.block_rows))
 
     def job(spec):
         snr_idx, ci, n = spec

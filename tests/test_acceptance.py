@@ -10,6 +10,7 @@ slope fit; expect roughly 20-25 minutes for it alone.
 import time
 
 import numpy as np
+import pytest
 
 from dstc.cli import main as cli_main
 from dstc.code_library import (
@@ -222,6 +223,7 @@ def test_criterion_07_group_decoding_equivalence():
     )
 
 
+@pytest.mark.slow
 def test_criterion_08_diversity_slope():
     t0 = time.time()
     window = (25.0, 35.0)

@@ -1,4 +1,7 @@
 import json
+import platform
+import time
+import tracemalloc
 from collections import OrderedDict
 
 import numpy as np
@@ -138,10 +141,10 @@ class TestSimulate:
         assert (tmp_path / "sim.csv.manifest.json").exists()
 
     @pytest.mark.parametrize(
-        "family, path, groups, width",
-        [("alamouti", "scalar", 1, 21), ("cod8", "diagonal", 8, 201)],
+        "family, path, groups, width, candidates",
+        [("alamouti", "scalar", 1, 15, 8), ("cod8", "diagonal", 8, 201, 256)],
     )
-    def test_manifest_records_decoder(self, tmp_path, monkeypatch, family, path, groups, width):
+    def test_manifest_records_decoder(self, tmp_path, monkeypatch, family, path, groups, width, candidates):
         monkeypatch.setattr(relay_channel_sim, "_KERNELS", OrderedDict())  # the first call builds
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
@@ -152,14 +155,22 @@ class TestSimulate:
             csv = tmp_path / name
             args = ["simulate", "--family", family, "--snr-db", "10", "--trials", "50", "--out", csv]
             assert run(args + extra) == 0
-            decoders.append(json.loads((tmp_path / f"{name}.manifest.json").read_text())["decoder"])
+            manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+            assert manifest["peak_rss_mb"] > 0
+            assert manifest["versions"]["numpy"] == np.__version__
+            assert manifest["versions"]["python"] == platform.python_version()
+            assert manifest["versions"]["platform"] == platform.platform()
+            decoders.append(manifest["decoder"])
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         for decoder in decoders:
             assert decoder["noise_path"] == path and decoder["noise_groups"] == groups
-            assert decoder["feature_width"] == width and decoder["decode_block_rows"] >= 3
+            assert decoder["feature_width"] == width and decoder["decode_candidates"] == candidates
+            assert decoder["symbol_groups"] == ([[0], [1]] if family == "alamouti" else [[0, 1, 2, 3]])
             assert decoder["blas_thread_env"] == {
                 "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None
             }
+        # the rows of the largest block run: the whole 50-trial chunk, then 25-trial chunks
+        assert [d["block_rows"] for d in decoders] == [50, 50, 25]
         built, reused, pooled = decoders
         assert built["kernel_reused"] is False and built["kernel_build_s"] > 0
         assert reused["kernel_reused"] is True and reused["kernel_build_s"] == 0
@@ -167,6 +178,21 @@ class TestSimulate:
         assert built["workers"] == reused["workers"] == 1 and pooled["workers"] == 2
         assert built["blas_threads_per_worker"] == reused["blas_threads_per_worker"] == blas
         assert pooled["blas_threads_per_worker"] == (None if blas is None else 1)
+
+    def test_oversized_codebook_exits_two_before_allocating(self, tmp_path, capsys, monkeypatch):
+        # cuw8 on 16-QAM: 16.7 M codewords, whose relay columns alone take 16 GiB
+        monkeypatch.setattr(relay_channel_sim, "_physical_memory", lambda: 8 << 30)
+        args = ["simulate", "--family", "cuw8", "--constellation", "qam16", "--trials", "10", "--out", tmp_path / "x"]
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            assert run(args) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 5.0 and peak < 16 * 2**20
+        err = capsys.readouterr().err
+        assert err.startswith("error: 16777216 codewords need about") and err.count("\n") == 1
 
     def test_source_cooperation_power_exits_two_with_one_line(self, tmp_path, capsys):
         args = ["simulate", "--family", "alamouti", "--trials", "100", "--out", tmp_path / "x.csv"]
@@ -270,12 +296,13 @@ class TestFlagsAndBadInput:
             ["verify", "--family", "alamouti", "--tol-diag", "nan"],
             ["simulate", "--family", "alamouti", "--trials", "10", "--pi", "1,0,nan"],
             ["simulate", "--family", "alamouti", "--trials", "10", "--snr-db", "nan"],
+            ["simulate", "--family", "alamouti", "--trials", "10", "--snr-db", "4000"],
             ["simulate", "--family", "alamouti", "--trials", "10", "--blocks", "0"],
             ["construct", "--family", "alamouti", "--blocks", "-1"],
             ["dmg", "--relays", "0", "--samples", "100"],
         ],
-        ids=["tol-rank-negative", "tol-rank-nan", "tol-diag-nan", "pi-nan", "snr-nan", "blocks-0", "blocks-negative",
-             "relays-0"],
+        ids=["tol-rank-negative", "tol-rank-nan", "tol-diag-nan", "pi-nan", "snr-nan", "snr-overflow", "blocks-0",
+             "blocks-negative", "relays-0"],
     )
     def test_bad_input_exits_two_with_one_line(self, tmp_path, capsys, args):
         assert run([*args, "--out", tmp_path / "x"]) == 2

@@ -1,6 +1,7 @@
 import dataclasses
 import sys
 import threading
+import time
 import tracemalloc
 from collections import OrderedDict
 
@@ -18,6 +19,7 @@ from dstc.code_library import (
     cuw_ssd,
     gciod,
     repetition_control,
+    scalar_cod,
     scaled_relay_pairs,
     square_cod,
 )
@@ -26,7 +28,7 @@ from dstc.diversity_analyzer import Constellation
 from dstc.errors import ContractError, DimensionError, InsufficientDataError, ParameterError
 from dstc.matrix_core import real_stack
 from dstc.relay_channel_sim import (
-    DECODE_BLOCK_BYTES,
+    BLOCK_BYTES,
     KERNEL_CACHE_BYTES,
     BerPoint,
     ChannelRealization,
@@ -34,6 +36,7 @@ from dstc.relay_channel_sim import (
     ReceivedSignal,
     SimConfig,
     _cached_kernel,
+    _form_table,
     _Kernel,
     _row_blocks,
     codebook_symbol_vectors,
@@ -341,14 +344,14 @@ class TestGroupDecode:
             group_ml_decode(sig, code, ((0, 1),), [np.zeros((1, 2))], ch, pa)
 
 
-def kernel_batch(code, p, n, seed, con=None):
+def kernel_batch(code, p, n, seed, con=None, kernel=None):
     """A kernel for ``code`` and one simulated batch of ``n`` trials at power ``p``."""
     con = con or Constellation.qpsk()
-    kernel = _Kernel(code, con, partial_csi=True)
+    kernel = kernel or _Kernel(code, con, partial_csi=True)
     pa = PowerAllocation.equal_split(code, p)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    idx, g0, g, f, y1, y2 = kernel.simulate_batch(pa, rng, n)
-    return kernel, pa, (g0, g, f, y1, y2)
+    idx = rng.integers(0, kernel.L, n)
+    return kernel, pa, kernel.simulate_batch(pa, rng, idx)
 
 
 def reference_decisions(code, pa, batch, con=None):
@@ -413,6 +416,35 @@ def old_scalar_phi(code, pa, g0, g, f, y1, y2):
     return np.hstack([np.multiply(part, coeff) for part, coeff in parts])
 
 
+SINGLE_SYMBOL_CODES = [
+    alamouti(), square_cod(2), cuw_ssd(2), cuw_ssd(4), clifford_4x4(), gciod(scalar_cod(), scalar_cod()),
+    gciod(alamouti(), alamouti()), repetition_control(), block_diagonal_extend(cuw_ssd(4), 2),
+]
+COUPLED_CODES = [square_cod(4), square_cod(8), cuw_ssd(8), gciod(square_cod(4), square_cod(4))]
+
+
+def codeword_metrics(kernel, pa, batch):
+    """The kernel's GEMM metric of every codeword, its symbol groups' metrics summed: (n, L)."""
+    per_candidate = kernel._features(pa, *batch) @ kernel.table.T
+    m = len(kernel.bitdist)  # the constellation size
+    out = np.zeros((len(per_candidate), kernel.L))
+    for grp, (lo, hi) in zip(kernel.layout.symbol_groups, kernel.spans):
+        candidate = kernel.digits[:, list(grp)] @ (m ** np.arange(len(grp))[::-1])
+        out += per_candidate[:, lo:hi][:, candidate]
+    return out
+
+
+def run_chunk_peak(kernel, pa, n):
+    """Bytes ``run_chunk`` allocates at its peak over one chunk of ``n`` trials."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        kernel.run_chunk(pa, 26, 0, 0, n)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 class TestKernel:
     @pytest.mark.parametrize(
         "code",
@@ -437,20 +469,20 @@ class TestKernel:
         ref = reference_decisions(code, pa, batch)
         assert list(dec) == ref
         assert len(set(ref)) > 1
-        # the GEMM metric is the exact metric plus a constant per trial
-        gap = kernel._features(pa, *batch) @ kernel.table.T - reference_metrics(code, pa, batch)
+        # the GEMM metric, each codeword's group metrics summed, is the exact metric plus a constant per trial
+        gap = codeword_metrics(kernel, pa, batch) - reference_metrics(code, pa, batch)
         assert np.allclose(gap, gap[:, :1], rtol=0.0, atol=1e-9 * np.abs(gap).max())
 
     @pytest.mark.parametrize("code", [alamouti(), clifford_4x4(), cuw_ssd(4)], ids=lambda c: c.name)
     def test_scalar_path_is_bitwise_the_first_single_gemm(self, code):
+        # the first scalar decoder, one GEMM over every codeword and gram entry, is the oracle
         con = Constellation.qpsk()
         kernel, pa, batch = kernel_batch(code, 20.0, 300, seed=24)
         assert kernel.noise_path == "scalar"
-        old_table = old_scalar_table(code, con)
-        old_phi = old_scalar_phi(code, pa, *batch)
-        assert np.array_equal(kernel.table, old_table.T)
-        assert np.array_equal(kernel._features(pa, *batch), old_phi)
-        assert np.array_equal(kernel.decode_batch(pa, *batch), np.argmin(old_phi @ old_table, axis=1))
+        assert kernel.layout.symbol_groups == tuple((m,) for m in range(code.K))
+        old = np.argmin(old_scalar_phi(code, pa, *batch) @ old_scalar_table(code, con), axis=1)
+        assert np.array_equal(kernel.decode_batch(pa, *batch), old)
+        assert len(set(old.tolist())) > 1
 
     def test_row_blocks_cover_without_single_rows(self):
         for rows in range(3, 8):
@@ -463,52 +495,123 @@ class TestKernel:
 
     @pytest.mark.parametrize("code", [clifford_4x4(), square_cod(8)], ids=lambda c: c.name)
     def test_block_split_decoding_equals_one_gemm(self, code):
-        n = 4 * 75 + 1  # blocks of 4 leave a one-row remainder
-        kernel, pa, batch = kernel_batch(code, 8.0, n, seed=25)
-        whole = dataclasses.replace(kernel.layout, block_rows=n)
-        split = dataclasses.replace(kernel.layout, block_rows=4)
-        kernel.layout = whole
-        one = kernel.decode_batch(pa, *batch)
-        kernel.layout = split
-        assert np.array_equal(kernel.decode_batch(pa, *batch), one)
-        assert len(set(one.tolist())) > 1
+        # blocks of 4 leave a one-row remainder, blocks of 13 a two-row one
+        n = 4 * 75 + 1
+        kernel = _Kernel(code, Constellation.qpsk(), partial_csi=True)
+        pa = PowerAllocation.equal_split(code, 8.0)
+        layout = kernel.layout
+        counts = []
+        for rows in (n, 4, 13):
+            kernel.layout = dataclasses.replace(layout, block_rows=rows)
+            counts.append([kernel.run_chunk(pa, 25, 0, chunk, n) for chunk in range(3)])
+        assert counts[0] == counts[1] == counts[2]
+        assert all(cw > 0 for cw, _ in counts[0])
         assert _row_blocks(n, 4)[-2:] == [(296, 299), (299, 301)]
+        assert _row_blocks(n, 13)[-1] == (299, 301)
 
     def test_decode_memory_stays_under_the_block_budget(self):
-        # decode memory must not grow as chunk x codewords: cod8 needed ~100 KB per trial
+        # chunk memory must not grow as chunk x codewords: cod8 needed ~100 KB per trial
         code = square_cod(8)
-        peaks = {}
-        for n in (4096, 16384):
-            kernel, pa, batch = kernel_batch(code, 10.0, n, seed=26)
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                kernel.decode_batch(pa, *batch)
-                peaks[n] = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
+        kernel = _Kernel(code, Constellation.qpsk(), partial_csi=True)
+        pa = PowerAllocation.equal_split(code, 10.0)
+        peaks = {n: run_chunk_peak(kernel, pa, n) for n in (4096, 16384)}
         for n, peak in peaks.items():
-            assert peak <= DECODE_BLOCK_BYTES + 8 * n  # the block budget plus the decisions
+            assert peak <= BLOCK_BYTES + 8 * n  # the block budget plus the chunk's codeword indices
         # more trials cost less than one metric row (8 L bytes) each
         assert (peaks[16384] - peaks[4096]) / (16384 - 4096) < 8 * kernel.L
 
+    def test_general_path_memory_stays_under_the_block_budget(self):
+        # the general path held (L, 2 T2) residuals and their whitened copies for every trial of a chunk
+        code = random_compliant_code(np.random.default_rng(5), t=4, n=3, k=3)
+        kernel = _Kernel(code, Constellation.qpsk(), partial_csi=True)
+        assert kernel.noise_path == "general" and kernel.L == 64
+        n = 8192
+        assert kernel.layout.block_rows < n
+        peak = run_chunk_peak(kernel, PowerAllocation.equal_split(code, 10.0), n)
+        assert peak <= BLOCK_BYTES + 8 * n
+
     def test_layout_without_tables_matches_kernel(self):
-        for code, path, groups in (
-            (alamouti(), "scalar", 1),
-            (square_cod(8), "diagonal", 8),
-            (cuw_ssd(8), "diagonal", 4),
+        for code, path, groups, symbols in (
+            (alamouti(), "scalar", 1, [[0], [1]]),
+            (square_cod(8), "diagonal", 8, [[0, 1, 2, 3]]),
+            (cuw_ssd(8), "diagonal", 4, [list(range(6))]),
+            (clifford_4x4(), "scalar", 1, [[0], [1], [2], [3]]),
         ):
             layout = decoder_layout(code, Constellation.qpsk())
             assert (layout.noise_path, len(layout.slot_groups)) == (path, groups)
             summary = layout.summary()
             assert summary["noise_groups"] == groups and summary["codewords"] == 4**code.K
-            assert summary["decode_block_rows"] >= 3
+            assert summary["symbol_groups"] == symbols
+            assert summary["decode_candidates"] == sum(4 ** len(g) for g in symbols)
+            assert summary["block_rows"] >= 3
         kernel, _, _ = kernel_batch(square_cod(8), 10.0, 2, seed=27)
         table = kernel.table
         assert table.shape == (kernel.L, kernel.layout.feature_width)
         # the diagonal path keeps no column that is zero for every codeword
         assert np.all(np.any(table != 0, axis=0))
         assert kernel.layout.feature_width < 1 + 8 + 2 * 64 + 8 * 64  # one R x R triangle per group
+        # a decoupled code holds one table row per symbol value, none per codeword
+        kernel, _, _ = kernel_batch(block_diagonal_extend(cuw_ssd(4), 2), 10.0, 2, seed=27)
+        assert kernel.L == 65536 and kernel.table.shape == (8 * 4, kernel.layout.feature_width)
+
+    @pytest.mark.parametrize(
+        "code, con",
+        [(code, Constellation.qpsk()) for code in SINGLE_SYMBOL_CODES]
+        + [(alamouti(), Constellation.qam16()), (clifford_4x4(), Constellation.qam16())],
+        ids=[f"{c.name}-qpsk" for c in SINGLE_SYMBOL_CODES] + ["alamouti-qam16", "clifford4-qam16"],
+    )
+    def test_symbol_groups_decide_as_the_joint_table(self, code, con):
+        kernel = _Kernel(code, con, partial_csi=True)
+        assert kernel.layout.symbol_groups == tuple((m,) for m in range(code.K))
+        assert len(kernel.table) == code.K * con.size
+        joint = _form_table(kernel.sym, kernel.layout.forms)
+        n = 120 if kernel.L > 4096 else 400
+        for p in (3.0, 30.0, 1000.0):
+            _, pa, batch = kernel_batch(code, p, n, seed=29, kernel=kernel)
+            phi = kernel._features(pa, *batch)
+            want = np.concatenate([np.argmin(phi[lo:lo + 40] @ joint.T, axis=1) for lo in range(0, n, 40)])
+            assert np.array_equal(kernel.decode_batch(pa, *batch), want)
+            assert len(set(want.tolist())) > 1
+
+    @pytest.mark.parametrize("code", COUPLED_CODES, ids=lambda c: c.name)
+    def test_coupled_codes_are_refused_by_the_oracle(self, code):
+        # one joint group: the per-symbol partition is not ML for these codes under relay noise
+        con = Constellation.qpsk()
+        assert decoder_layout(code, con).symbol_groups == (tuple(range(code.K)),)
+        pa = PowerAllocation.equal_split(code, 10.0)
+        sym, _, scale = codebook_symbol_vectors(code, con)
+        groups = tuple((2 * m, 2 * m + 1) for m in range(code.K))
+        values = [quadrature_pair_values(con, scale)] * code.K
+        rng = np.random.default_rng(30)
+        with pytest.raises(ContractError, match="coupling"):
+            for _ in range(20):
+                ch = sample_channel(code.N, True, rng)
+                sig = simulate_transmission(code, sym[int(rng.integers(0, len(sym)))], ch, pa, rng)
+                group_ml_decode(sig, code, groups, values, ch, pa)
+
+    def test_oversized_codebook_is_refused_before_allocating(self, monkeypatch):
+        code, qam16 = cuw_ssd(8), Constellation.qam16()
+        layout = decoder_layout(code, qam16)
+        assert layout.codewords == 16**6 and layout.kernel_bytes > 16 * 2**30
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ParameterError, match="16777216 codewords need about"):
+                _Kernel(code, qam16, partial_csi=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the layout's forms only: a thousandth of the 16 GiB the relay columns alone would take
+        assert peak < 16 * 2**20 and time.perf_counter() - start < 5.0
+        # the bound is half of the machine's memory
+        kernel = _Kernel(square_cod(8), Constellation.qpsk(), partial_csi=True)
+        need = kernel.layout.kernel_bytes
+        assert need >= kernel.nbytes
+        monkeypatch.setattr(relay_channel_sim, "_physical_memory", lambda: 2 * need - 2)
+        with pytest.raises(ParameterError, match="256 codewords"):
+            _Kernel(square_cod(8), Constellation.qpsk(), partial_csi=True)
+        monkeypatch.setattr(relay_channel_sim, "_physical_memory", lambda: 2 * need)
+        _Kernel(square_cod(8), Constellation.qpsk(), partial_csi=True)
 
     def test_general_noise_path_matches_reference(self):
         # mixed conjugation forces the full real-covariance whitening path
