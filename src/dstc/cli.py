@@ -236,6 +236,7 @@ def cmd_simulate(args) -> int:
     )
     decoder = {"blas_thread_env": {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}}
     points = monte_carlo_ber(cfg, telemetry=decoder)
+    snr_points = decoder.pop("snr_points")
     lines = ["snr_db,trials,codeword_errors,bit_errors,ber,ci_low,ci_high"]
     for p in points:
         lines.append(
@@ -257,7 +258,7 @@ def cmd_simulate(args) -> int:
             "bundle": _sha256(json.dumps(lib.to_bundle(code), sort_keys=True).encode()),
             "csv": _sha256(text.encode()),
         },
-        {"decoder": decoder, **_process_record()},
+        {"decoder": decoder, "snr_points": snr_points, **_process_record()},
     )
     return 0
 

@@ -26,11 +26,12 @@ Monte Carlo estimation uses counter-based RNG streams keyed by
 thread count, and error counts are integers, so results are bit-identical
 under any parallelism. A chunk draws its codewords, then runs draw,
 synthesis, decoding and counting block by block in row blocks of bounded
-bytes. The batched decoder decides each group of symbols that the code's
-metric leaves apart on its own, so single-symbol decodable codes are
-decoded symbol by symbol. Its tables depend only on the code, the
-constellation and the CSI mode; they are built once per distinct content
-and kept in a byte-bounded cache shared by every call. While a call runs
+bytes. The batched decoder scores each trial's quadratic-form coefficients
+against one table of the candidates' monomials, and decides each group of
+symbols that the code's metric leaves apart on its own, so single-symbol
+decodable codes are decoded symbol by symbol. Its tables depend only on
+the code, the constellation and the CSI mode; they are built once per
+distinct content and kept in a byte-bounded cache shared by every call. While a call runs
 more than one worker, numpy's OpenBLAS is held at one thread, so the
 workers do not oversubscribe the cores.
 """
@@ -279,9 +280,14 @@ def codebook_symbol_vectors(
     significant.
     """
     digits = _digit_grid(constellation.size, code.K)
-    scale = 1.0 / math.sqrt(code.K * constellation.mean_energy())
+    scale = _symbol_scale(code, constellation)
     pts = np.asarray(constellation.points)
     return scale * pts[digits], digits, scale
+
+
+def _symbol_scale(code: LinearDispersionCode, constellation: Constellation) -> float:
+    """The factor that scales constellation points to E{s^H s} = 1 over the code's K symbols."""
+    return 1.0 / math.sqrt(code.K * constellation.mean_energy())
 
 
 def _digit_grid(m: int, k: int) -> np.ndarray:
@@ -482,25 +488,34 @@ _NOISE_TOL = 1e-12
 class DecoderLayout:
     """How the batched ML decoder handles one code and constellation.
 
-    Under the ``scalar`` and ``diagonal`` noise paths the cooperation noise is
-    white within each group of slots that share a per-relay noise diagonal
-    (one group under ``scalar``). The metric is then one real GEMM of
-    per-trial features against a table whose columns are linear and
-    quadratic forms (``forms``) in the real symbols. The metric splits into
-    a sum over ``symbol_groups``, the symbols that no cross term of the
-    forms ties to the rest, so the table holds one row per candidate of
-    each group, ``decode_candidates`` rows in all: every symbol alone for
-    the single-symbol decodable codes, one joint group of all codewords
-    otherwise. The improper ``general`` path whitens each trial in full,
-    has no table and scores every codeword.
+    For every code the exact ML metric is, up to a per-trial constant, the
+    quadratic form ``-2 b^T x + x^T Q x`` in the 2K real symbols
+    x = (Re s, Im s). So each trial is scored by one real GEMM of its
+    coefficients psi (``-2 b`` and the upper triangle of Q, off-diagonal
+    entries doubled) against a table whose rows are the candidates'
+    monomials ``[x, x_j x_i]`` (j <= i, the pairs in ``monomials``). The
+    metric splits into a sum over ``symbol_groups``, the symbols that no
+    cross monomial ties to the rest, so the table holds one row per
+    candidate of each group, ``decode_candidates`` rows in all: every
+    symbol alone for the single-symbol decodable codes, one joint group of
+    all codewords otherwise.
 
-    For each run of table columns, ``z_keep`` and ``gram_keep`` give the
-    trial products it weighs (relay columns or gram entries, real and
-    imaginary parts interleaved), their slot group and, for the gram, their
-    weights. A
-    chunk runs draw, synthesis, decoding and counting in row blocks of at
-    most ``block_rows`` trials. ``kernel_bytes`` estimates the kernel's
-    per-codeword arrays at their peak while it is built.
+    Under the ``scalar`` and ``diagonal`` noise paths the cooperation noise
+    is white within each group of slots that share a per-relay noise
+    diagonal (one group under ``scalar``). psi then comes from two fixed
+    GEMMs (see ``_diagonal_forms``): ``linear`` maps the trial's products of
+    channel and received signal onto x, ``quadratic`` maps its channel
+    products onto each slot group's monomials, weighed per trial by the
+    group's noise weight. Monomials with a zero coefficient for every
+    channel are left out (``feature_width`` counts the rest). The improper
+    ``general`` path solves each trial's own real covariance for b and Q
+    and keeps every monomial.
+
+    A chunk runs draw, synthesis, decoding and counting in row blocks of at
+    most ``block_rows`` trials. ``kernel_bytes`` estimates the arrays the
+    kernel holds and builds its table from, at their peak while it is
+    built; the layout's own form arrays come first and do not grow with the
+    codebook.
     """
 
     noise_path: str
@@ -508,13 +523,15 @@ class DecoderLayout:
     noise_diag: np.ndarray | None  # (R, G): per-relay noise diagonal of each group
     codewords: int
     symbol_groups: tuple[tuple[int, ...], ...]  # complex symbols decided together
-    decode_candidates: int  # table rows, or codewords scored per trial on the general path
+    decode_candidates: int  # table rows
     block_rows: int
     kernel_bytes: int
-    feature_width: int | None = None
-    z_keep: tuple | None = None  # per column run: (product columns, slot group) of relay-column features
-    gram_keep: tuple | None = None  # per column run: (product columns, slot group, weights) of gram features
-    forms: tuple | None = None  # (linear (2K, .), quadratic (P, .)) coefficients
+    monomials: tuple  # (j, i): the real-symbol pairs of the table's quadratic monomials
+    feature_width: int | None = None  # table columns on the scalar and diagonal paths
+    z_keep: tuple | None = None  # (t, r): the slot and relay of each product conj(h_r) y2_t weighed
+    linear: np.ndarray | None = None  # (2 Z, 2K): those products onto x
+    outer_keep: tuple | None = None  # (a, b): the relay pairs of each product conj(h_a) h_b weighed
+    quadratic: np.ndarray | None = None  # (2 E, G P): those products onto each group's monomials
 
     def summary(self) -> dict:
         """JSON-ready description for run manifests."""
@@ -549,37 +566,50 @@ def _layout(pairs, m: int) -> DecoderLayout:
     diag = np.diagonal(zz, axis1=1, axis2=2)  # (R, 2T2)
     off = np.max(np.abs(zz - diag[:, :, None] * np.eye(2 * t2)))
     d_re = diag[:, :t2]
-    # per trial: the normal draws, the synthesis arrays (relay columns of the sent codeword
-    # included) and the counting gathers
-    width = 1 + 2 * r + k + r * k + t2
-    row_bytes = 16 * (width + 4 * k + 3 * r * k + 8 * t2 + 2 * t2 * r + 2 * r) + 24 * k
-    # per codeword held: symbols, digits and relay columns, the latter three times while built
-    held = codewords * (24 * k + 48 * t2 * r)
+    # per trial: the normal draws, the synthesis arrays (the relays' received signals and their
+    # products with g) and the counting gathers
+    draws = 1 + 2 * r + k + r * k + t2
+    row_bytes = 16 * (draws + 3 * k + 5 * r * k + 4 * t2) + 40 * k
+    # held whatever the code: the relay matrices and the bit-distance table
+    fixed = 32 * r * t2 * k + 8 * m * m
     if off > _NOISE_TOL or np.max(np.abs(d_re - diag[:, t2:])) > _NOISE_TOL:
-        # per trial and codeword: the residuals, their real stack, whitened copy and metric rows
-        row_bytes += codewords * (80 * t2 + 64) + 160 * t2 * t2
+        monomials = np.triu_indices(2 * k)
+        width = 2 * k + len(monomials[0])
+        d = 2 * t2
+        # per trial: the responses, covariance, solve operands and Q, then psi and the metric row
+        row_bytes += 48 * k * t2 + 24 * d * (d + 2 * k + 1) + 32 * k * k + 8 * width + 8 * codewords
+        fixed += 24 * r * d * d + 32 * k * t2 * r
         return DecoderLayout(
             "general", (), None, codewords, (tuple(range(k)),), codewords,
-            _block_rows(row_bytes), held + 8 * codewords,
+            _block_rows(row_bytes), fixed + _table_bytes(codewords, k, width), monomials,
         )  # fmt: skip
     # each slot joins the group of the first slot with the same diagonal
     first = np.argmax(np.max(np.abs(d_re[:, :, None] - d_re[:, None, :]), axis=0) <= _NOISE_TOL, axis=0)
     leaders = sorted(set(first.tolist()))
     groups = tuple(tuple(np.flatnonzero(first == t).tolist()) for t in leaders)
     noise_diag = np.ascontiguousarray(d_re[:, leaders])
-    z_keep, gram_keep, forms = _diagonal_forms(a, b, groups)
-    feature_width = 1 + 2 * k + forms[0].shape[1] + forms[1].shape[1]
-    symbol_groups = _symbol_groups(forms[1], k)
+    z_keep, linear, outer_keep, quadratic, monomials = _diagonal_forms(a, b, groups)
+    width = 2 * k + len(monomials[0])
+    symbol_groups = _symbol_groups(monomials, k)
     candidates = sum(m ** len(g) for g in symbol_groups)
-    # per trial: features, the metric block, the relay and gram products and their slices
-    row_bytes += 16 * feature_width + 8 * candidates + 32 * (t2 * r + r * r + k + 2 * r)
-    if len(symbol_groups) == 1:
-        held += 8 * feature_width * codewords  # the joint table
+    # per trial: the products and their gathers, each group's monomial coefficients, psi and the metric row
+    row_bytes += 48 * (len(z_keep[0]) + len(outer_keep[0]) + t2) + 16 * quadratic.shape[1]
+    row_bytes += 8 * width + 8 * candidates + 32 * (k + 2 * r)
+    fixed += linear.nbytes + quadratic.nbytes + sum(_table_bytes(m ** len(g), len(g), width) for g in symbol_groups)
     path = "scalar" if len(groups) == 1 else "diagonal"
     return DecoderLayout(
-        path, groups, noise_diag, codewords, symbol_groups, candidates, _block_rows(row_bytes), held,
-        feature_width, z_keep, gram_keep, forms,
+        path, groups, noise_diag, codewords, symbol_groups, candidates, _block_rows(row_bytes), fixed,
+        monomials, width, z_keep, linear, outer_keep, quadratic,
     )  # fmt: skip
+
+
+def _table_bytes(rows: int, k: int, width: int) -> int:
+    """Bytes of a table segment of ``rows`` candidates of ``k`` symbols at its peak while built.
+
+    Its rows and their codeword places, plus the digits (and their grid),
+    the symbols (and their gather) and the real symbols it is built from.
+    """
+    return rows * (8 * width + 64 * k + 8)
 
 
 def _block_rows(row_bytes: int) -> int:
@@ -587,60 +617,63 @@ def _block_rows(row_bytes: int) -> int:
     return max(3, BLOCK_BYTES // row_bytes)
 
 
-def _diagonal_forms(a: np.ndarray, b: np.ndarray, groups) -> tuple:
-    """Table layout of the proper noise paths: (z_keep, gram_keep, forms); ``a``, ``b`` stack (A_r, B_r).
+def _symbol_responses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """M (2K, T2, R): relay r's slot-t output per unit of Re s_j (A + B) and of Im s_j (i (A - B))."""
+    return np.concatenate([a + b, 1j * (a - b)], axis=2).transpose(2, 1, 0)
 
-    The relay columns are linear in the real symbols x = (Re s, Im s),
-    C_t = sum_j x_j M_jt, so they are linear forms in x and each group's gram
-    G_g = sum_{t in g} conj(C_t) C_t^T holds quadratic forms: two GEMMs fill
-    the table instead of a gram per codeword. The gram being Hermitian, its
-    upper triangle carries it all (off-diagonal entries weigh twice), and
-    columns whose forms vanish are zero for every codeword and left out.
+
+def _diagonal_forms(a: np.ndarray, b: np.ndarray, groups) -> tuple:
+    """Coefficient maps of the proper noise paths: (z_keep, linear, outer_keep, quadratic, monomials).
+
+    ``a``, ``b`` stack (A_r, B_r). The relay columns are linear in the real
+    symbols x = (Re s, Im s), C_t = sum_j x_j M_jt, so with h = g f the
+    cooperation phase's cross term Re sum_t w_g(t) conj(h^T C_t) y2_t is
+    linear in x, weighing the products z_tr = conj(h_r) w_g(t) y2_t, and
+    each group's energy sum_{t in g} |h^T C_t|^2 is quadratic in x,
+    weighing the products conj(h_a) h_b (a <= b, the rest being their
+    conjugates). ``linear`` maps the (Re, Im)-interleaved products z of the
+    pairs (t, r) in ``z_keep`` onto x; ``quadratic`` maps those of the pairs
+    (a, b) in ``outer_keep`` onto each slot group's quadratic monomials
+    x_j x_i, group after group. Products and monomials that no form weighs
+    are left out; the squares are always kept, as ||s||^2 weighs them all.
     """
     r, t2, k = a.shape
-    order = [t for grp in groups for t in grp]
-    m = np.concatenate([a + b, 1j * (a - b)], axis=2).transpose(2, 1, 0)[:, order]  # (2K, T2, R)
-    # x_j x_i (j <= i) weighs sum_t conj(M_jt) M_it^T + conj(M_it) M_jt^T (once when j == i)
+    m = _symbol_responses(a, b)
+    zt, zr = np.nonzero(np.any(m != 0, axis=0))
+    linear = np.ascontiguousarray(m[:, zt, zr]).view(np.float64).T.copy()  # (2 Z, 2K): Re, Im of conj(M) z
+    # x_j x_i (j <= i) weighs sum_t conj(M_jta) M_itb + conj(M_ita) M_jtb (once when j == i)
     j, i = np.triu_indices(2 * k)
-    ea, eb = np.divmod(np.arange(r * r), r)
-    mj, mi = m[j].transpose(1, 0, 2), m[i].transpose(1, 0, 2)  # (T2, P, R)
-    prod = np.conj(mj[:, :, ea]) * mi[:, :, eb] + (j < i)[:, None] * (np.conj(mi[:, :, ea]) * mj[:, :, eb])
+    ea, eb = np.triu_indices(r)
+    prod = np.conj(m[j][:, :, ea])  # (P, T2, E), formed in place: it grows as K^2 T2 R^2
+    prod *= m[i][:, :, eb]
+    cross = np.conj(m[i][:, :, ea])
+    cross *= m[j][:, :, eb]
+    cross *= (j < i)[:, None, None]
+    prod += cross
+    del cross
     sizes = [len(grp) for grp in groups]
-    w = np.add.reduceat(prod, np.cumsum([0] + sizes[:-1]))  # (G, P, R R)
-    mc = m.reshape(2 * k, t2 * r)
-    ends = np.cumsum(sizes) * r
-    spans = [(end - size * r, end) for size, end in zip(sizes, ends)]  # each group's relay columns
-    upper, strict = np.flatnonzero(ea <= eb), np.flatnonzero(ea < eb)  # a gram diagonal is real
-    # one run of table columns per (part, slot group): its forms and its (columns of the trial's
-    # (Re, Im)-interleaved products, slot group[, weights]); real parts first, then imaginary parts
-    z_runs, gram_runs = [], []
-    for part, entries in ((0, upper), (1, strict)):
-        for grp, (lo, hi) in enumerate(spans):
-            forms = (mc.imag if part else mc.real)[:, lo:hi]
-            c = np.flatnonzero(np.any(forms != 0, axis=0))
-            z_runs.append((forms[:, c], (2 * (lo + c) + part, grp)))
-        for grp, wg in enumerate(w):
-            forms = (wg.imag if part else wg.real)[:, entries]
-            used = np.any(forms != 0, axis=0)
-            e = entries[used]
-            weight = np.full(len(e), -2.0) if part else np.where(ea[e] < eb[e], 2.0, 1.0)
-            gram_runs.append((forms[:, used], (2 * e + part, grp, weight)))
-    z_runs, gram_runs = ([run for run in runs if run[0].shape[1]] for runs in (z_runs, gram_runs))
-    linear, quadratic = (np.hstack([forms for forms, _ in runs]) for runs in (z_runs, gram_runs))
-    return tuple(keep for _, keep in z_runs), tuple(keep for _, keep in gram_runs), (linear, quadratic)
+    order = [t for grp in groups for t in grp]
+    w = np.add.reduceat(prod[:, order], np.cumsum([0] + sizes[:-1]), axis=1)  # (P, G, E)
+    w *= np.where(ea < eb, 2.0, 1.0)  # conj(h_b) h_a weighs the conjugate of the same term
+    used = np.any(w != 0, axis=(1, 2)) | (j == i)
+    outer = np.any(w != 0, axis=(0, 1))
+    # Re(o w) = Re o Re w - Im o Im w, o = conj(h_a) h_b interleaved (Re, Im)
+    quadratic = np.stack([w.real, -w.imag], axis=3)[used][:, :, outer].transpose(2, 3, 1, 0)
+    quadratic = np.ascontiguousarray(quadratic.reshape(2 * np.count_nonzero(outer), -1))  # (2 E, G P)
+    return (zt, zr), linear, (ea[outer], eb[outer]), quadratic, (j[used], i[used])
 
 
-def _symbol_groups(quadratic: np.ndarray, k: int) -> tuple[tuple[int, ...], ...]:
-    """The complex symbols tied together by a cross monomial with a nonzero row in the quadratic forms.
+def _symbol_groups(monomials: tuple, k: int) -> tuple[tuple[int, ...], ...]:
+    """The complex symbols tied together by a cross monomial of the table.
 
-    Row p of ``quadratic`` weighs x_j x_i (the p-th j <= i) in every table
-    column; real symbol j belongs to complex symbol j mod K. A cross row
-    that is exactly zero leaves its two symbols apart for every channel and
-    noise weight, so the metric is a sum over the connected components.
+    ``monomials`` holds the pairs (j, i) of real symbols whose product some
+    trial weighs; real symbol j belongs to complex symbol j mod K. A cross
+    monomial left out is zero for every channel and noise weight, so the
+    metric is a sum over the connected components.
     """
-    j, i = np.triu_indices(2 * k)
+    j, i = monomials
     sj, si = j % k, i % k
-    tied = (sj != si) & np.any(quadratic != 0, axis=1)
+    tied = sj != si
     reach = np.eye(k, dtype=bool)
     reach[sj[tied], si[tied]] = reach[si[tied], sj[tied]] = True
     for _ in range(k):  # transitive closure
@@ -648,18 +681,13 @@ def _symbol_groups(quadratic: np.ndarray, k: int) -> tuple[tuple[int, ...], ...]
     return tuple(sorted({tuple(np.flatnonzero(row).tolist()) for row in reach}))
 
 
-def _form_table(sym: np.ndarray, forms: tuple) -> np.ndarray:
-    """Table rows [||s||^2, Re s, Im s, linear forms, quadratic forms] of source vectors ``sym`` (n, K)."""
-    linear, quadratic = forms
-    k = sym.shape[1]
+def _monomial_table(sym: np.ndarray, monomials: tuple, out: np.ndarray | None = None) -> np.ndarray:
+    """Table rows [x, x_j x_i for the pairs (j, i) in ``monomials``] of source vectors ``sym`` (n, K)."""
     x = np.hstack([sym.real, sym.imag])
-    j, i = np.triu_indices(2 * k)
-    mid = 1 + 2 * k + linear.shape[1]
-    table = np.empty((len(sym), mid + quadratic.shape[1]))
-    table[:, 0] = np.sum(np.abs(sym) ** 2, axis=1)
-    table[:, 1 : 1 + 2 * k] = x
-    np.matmul(x, linear, out=table[:, 1 + 2 * k : mid])
-    np.matmul(x[:, j] * x[:, i], quadratic, out=table[:, mid:])
+    table = np.empty((len(sym), x.shape[1] + len(monomials[0]))) if out is None else out
+    table[:, : x.shape[1]] = x
+    for col, (j, i) in enumerate(zip(*monomials), start=x.shape[1]):  # no (n, W) factor gathers
+        np.multiply(x[:, j], x[:, i], out=table[:, col])
     return table
 
 
@@ -686,6 +714,8 @@ def _row_blocks(n: int, rows: int) -> list[tuple[int, int]]:
 class _Kernel:
     """Vectorized per-chunk simulator + exact ML decoder for one code/constellation.
 
+    It holds no array per codeword but a joint symbol group's table: the
+    sent symbols and their digits come from the codeword index.
     Read-only once built, so concurrent callers may share one.
     """
 
@@ -693,6 +723,8 @@ class _Kernel:
         self.partial_csi = partial_csi
         pairs = scaled_relay_pairs(code)
         self.layout = layout = _layout(pairs, con.size)
+        if layout.codewords >= 1 << 63:
+            raise ParameterError(f"{layout.codewords} codewords do not fit a 64-bit codeword index")
         memory = _physical_memory()
         if memory and layout.kernel_bytes > memory // 2:
             raise ParameterError(
@@ -700,58 +732,60 @@ class _Kernel:
                 f"more than half of the {memory / 2**30:.1f} GiB of memory"
             )
         self.noise_path = layout.noise_path
-        self.a = np.stack([p.a for p in pairs])  # (R, T2, T1)
-        self.b = np.stack([p.b for p in pairs])
-        self.r, self.t2, self.t1 = self.a.shape
-        self.a_flat = self.a.transpose(1, 0, 2).reshape(self.t2, -1)  # (T2, R*T1)
-        self.b_flat = self.b.transpose(1, 0, 2).reshape(self.t2, -1)
-        self.sym, self.digits, self.scale = codebook_symbol_vectors(code, con)
-        self.L = self.sym.shape[0]
+        a = np.stack([p.a for p in pairs])  # (R, T2, T1)
+        b = np.stack([p.b for p in pairs])
+        self.r, self.t2, self.t1 = a.shape
+        self.a_flat = a.transpose(1, 0, 2).reshape(self.t2, -1)  # (T2, R*T1)
+        self.b_flat = b.transpose(1, 0, 2).reshape(self.t2, -1)
+        self.m, self.L = con.size, layout.codewords
+        self.points = _symbol_scale(code, con) * np.asarray(con.points)
+        self.place = self.m ** np.arange(self.t1 - 1, -1, -1)  # each symbol's digit weight in the index
+        j, i = layout.monomials
+        self.squares = 2 * self.t1 + np.flatnonzero(j == i)  # psi's columns of the monomials x_j^2
+        self.slot_group = np.zeros(self.t2, dtype=np.intp)  # each cooperation slot's noise-weight group
+        for grp, slots in enumerate(layout.slot_groups):
+            self.slot_group[list(slots)] = grp
         self.bits_per_symbol = con.bits_per_symbol
         labels = con.bit_labels
         self.bitdist = np.array(
             [[bin(la ^ lb).count("1") for lb in labels] for la in labels], dtype=np.int64
         )
-        # relay columns per codeword; complex f also needs the conjugate-separated parts
-        cols_a = np.einsum("rts,ls->ltr", self.a, self.sym)
-        cols_b = np.einsum("rts,ls->ltr", self.b, np.conj(self.sym))
-        self.cols = cols_a + cols_b  # (L, T2, R)
-        if not partial_csi:
-            self.cols_a, self.cols_b = cols_a, cols_b
-        del cols_a, cols_b
         if self.noise_path == "general":
-            t2 = self.t2
+            t2, k = self.t2, self.t1
             jt = np.block([[np.zeros((t2, t2)), -np.eye(t2)], [np.eye(t2), np.zeros((t2, t2))]])
-            zz = np.stack([dispersion_matrix(p) @ dispersion_matrix(p).T for p in pairs])
-            self.energy1 = np.sum(np.abs(self.sym) ** 2, axis=1)  # (L,)
-            self.gen_m = zz
-            self.gen_k = np.stack([jt @ m - m @ jt for m in zz])
-            self.gen_l = np.stack([-(jt @ m @ jt) for m in zz])
-            return
-        order = [t for grp in layout.slot_groups for t in grp]
-        self.slot_order = slice(None) if order == sorted(order) else order
+            zz = [dispersion_matrix(p) @ dispersion_matrix(p).T for p in pairs]
+            # per relay, the covariance terms weighed by Re g^2, Re g Im g and Im g^2
+            self.gen_mats = np.stack([np.stack([z, jt @ z - z @ jt, -(jt @ z @ jt)]) for z in zz])
+            # the cooperation response of Re s_j and Im s_j per unit relay gain: (R, 2K T2)
+            self.gen_resp = np.ascontiguousarray(_symbol_responses(a, b).reshape(2 * k * t2, self.r).T)
         # One table segment per symbol group, one row per candidate of the group: the
         # group's symbols take their candidate's points and every other symbol is 0.
         # ``places`` holds each candidate's share of the codeword index.
-        m, k = con.size, self.t1
-        points = self.scale * np.asarray(con.points)
-        segments, places = [], []
+        self.table = np.empty((layout.decode_candidates, 2 * self.t1 + len(j)))  # the GEMM reads its transpose
+        self.places = np.empty(layout.decode_candidates, dtype=np.intp)
+        self.spans = []  # each group's rows of the table
+        lo = 0
         for grp in layout.symbol_groups:
-            digits = _digit_grid(m, len(grp))
-            sym = np.zeros((len(digits), k), dtype=complex)
-            sym[:, grp] = points[digits]
-            segments.append(_form_table(sym, layout.forms))
-            places.append(digits @ (m ** (k - 1 - np.array(grp))))
-        stops = np.cumsum([len(p) for p in places]).tolist()
-        self.spans = list(zip([0, *stops[:-1]], stops))  # each group's rows of the table
-        self.table = np.concatenate(segments)  # (candidates, D); the GEMM reads its transpose in place
-        self.places = np.concatenate(places).astype(np.intp)
+            digits = _digit_grid(self.m, len(grp))
+            hi = lo + len(digits)
+            sym = np.zeros((len(digits), self.t1), dtype=complex)
+            sym[:, grp] = self.points[digits]
+            _monomial_table(sym, layout.monomials, out=self.table[lo:hi])
+            self.places[lo:hi] = digits @ self.place[list(grp)]
+            self.spans.append((lo, hi))
+            lo = hi
 
     @property
     def nbytes(self) -> int:
         """Bytes of the arrays the kernel holds."""
-        forms = self.layout.forms or ()
-        return sum(v.nbytes for v in (*vars(self).values(), *forms) if isinstance(v, np.ndarray))
+        layout = self.layout
+        forms = (layout.noise_diag, layout.linear, layout.quadratic, *layout.monomials)
+        arrays = (*vars(self).values(), *forms, *(layout.z_keep or ()), *(layout.outer_keep or ()))
+        return sum(v.nbytes for v in arrays if isinstance(v, np.ndarray))
+
+    def symbol_digits(self, idx: np.ndarray) -> np.ndarray:
+        """Per-symbol constellation digits (n, K) of codeword indices, first symbol most significant."""
+        return idx[:, None] // self.place % self.m
 
     def simulate_batch(self, pa: PowerAllocation, rng: np.random.Generator, idx: np.ndarray):
         """Draw the channels and noise of the trials sending codewords ``idx``, one normal block."""
@@ -777,81 +811,86 @@ class _Kernel:
         w2 = take(self.t2)
 
         c1 = pa.broadcast_amp
-        rg = pa.relay_gain
-        y1 = c1 * g0[:, None] * self.sym[idx] + w1
-        # sum_r g_r (A_r v_r + B_r v_r*) as two gemms over the (r, s) axes
-        gv = (g[:, :, None] * v).reshape(n, -1)
-        gvc = (g[:, :, None] * np.conj(v)).reshape(n, -1)
-        noise2 = gv @ self.a_flat.T + gvc @ self.b_flat.T
-        if self.partial_csi:
-            # real f: A_i s f + B_i s* f = f (A_i s + B_i s*)
-            sig2 = c1 * np.einsum("br,btr->bt", g * f, self.cols[idx])
-        else:
-            sig2 = c1 * (
-                np.einsum("br,btr->bt", g * f, self.cols_a[idx])
-                + np.einsum("br,btr->bt", g * np.conj(f), self.cols_b[idx])
-            )
-        y2 = rg * (sig2 + noise2) + w2
+        s = self.points[self.symbol_digits(idx)]
+        y1 = c1 * g0[:, None] * s + w1
+        rx = (c1 * f)[:, :, None] * s[:, None, :] + v  # what each relay receives
+        # sum_r g_r (A_r rx_r + B_r rx_r*) as two gemms over the (r, s) axes
+        grx = (g[:, :, None] * rx).reshape(n, -1)
+        grxc = (g[:, :, None] * np.conj(rx)).reshape(n, -1)
+        y2 = pa.relay_gain * (grx @ self.a_flat.T + grxc @ self.b_flat.T) + w2
         return g0, g, f, y1, y2
 
-    def _features(self, pa: PowerAllocation, g0, g, f, y1, y2) -> np.ndarray:
-        """Per-trial rows phi with phi @ table.T the ML metric up to per-trial constants.
+    def _proper_coefficients(self, pa: PowerAllocation, g0, g, f, y1, y2) -> np.ndarray:
+        """psi of the proper noise paths, from the trial's products through the two fixed GEMMs.
 
         Per noise-weight group g with w_g = 1 / (1 + kappa sum_r |g_r|^2 d[r, g]),
         the metric is 2||r1||^2 - 4 Re<y1,r1> + sum_g w_g (2||r2_g||^2 - 4 Re<y2_g,r2_g>).
         """
-        n = len(g0)
+        layout = self.layout
+        n, k = y1.shape
         c1 = pa.broadcast_amp
         c2 = c1 * pa.relay_gain
         # decoder believes the effective-channel model h = (g0, g_i f_i)
         hh = g * f
-        winv = 1.0 / (1.0 + pa.relay_gain_sq * (np.abs(g) ** 2 @ self.layout.noise_diag))  # (n, G)
+        winv = 1.0 / (1.0 + pa.relay_gain_sq * (np.abs(g) ** 2 @ layout.noise_diag))  # (n, G)
+        t, r = layout.z_keep  # np.take keeps the gathers C-ordered, so their products view as float
+        z = np.conj(np.take(hh, r, axis=1)) * np.take(y2 * winv[:, self.slot_group], t, axis=1)
+        ea, eb = layout.outer_keep
+        outer = np.conj(np.take(hh, ea, axis=1)) * np.take(hh, eb, axis=1)
         a1 = np.conj(g0)[:, None] * y1
-        # the (Re, Im)-interleaved products each table column weighs
-        z = (np.conj(hh)[:, None, :] * y2[:, self.slot_order, None]).reshape(n, -1).view(np.float64)
-        outer = (np.conj(hh)[:, :, None] * hh[:, None, :]).reshape(n, -1).view(np.float64)
-        k = y1.shape[1]
-        phi = np.empty((n, self.layout.feature_width))
-        np.multiply(np.abs(g0) ** 2, 2.0 * c1 * c1, out=phi[:, 0])
-        np.multiply(a1.real, -4.0 * c1, out=phi[:, 1 : 1 + k])
-        np.multiply(a1.imag, -4.0 * c1, out=phi[:, 1 + k : 1 + 2 * k])
-        pos = 1 + 2 * k
-        zw = (-4.0 * c2) * winv
-        for cols, grp in self.layout.z_keep:
-            np.multiply(z[:, cols], zw[:, grp : grp + 1], out=phi[:, pos : pos + len(cols)])
-            pos += len(cols)
-        for cols, grp, weight in self.layout.gram_keep:
-            coeff = (2.0 * c2 * c2) * (winv[:, grp : grp + 1] * weight)
-            np.multiply(outer[:, cols], coeff, out=phi[:, pos : pos + len(cols)])
-            pos += len(cols)
-        return phi
+        psi = np.empty((n, layout.feature_width))
+        np.matmul(z.view(np.float64), layout.linear, out=psi[:, : 2 * k])
+        psi[:, : 2 * k] *= -4.0 * c2
+        psi[:, :k] -= (4.0 * c1) * a1.real
+        psi[:, k : 2 * k] -= (4.0 * c1) * a1.imag
+        per_group = (outer.view(np.float64) @ layout.quadratic).reshape(n, len(layout.slot_groups), -1)
+        np.einsum("ngp,ng->np", per_group, (2.0 * c2 * c2) * winv, out=psi[:, 2 * k :])
+        psi[:, self.squares] += (2.0 * c1 * c1) * np.abs(g0)[:, None] ** 2
+        return psi
 
-    def decode_batch(self, pa: PowerAllocation, g0, g, f, y1, y2) -> np.ndarray:
-        """Exact ML decisions for a batch, whitened per the code's noise structure."""
-        if self.noise_path != "general":
-            # one real GEMM against the table; each symbol group takes its best candidate
-            metric = self._features(pa, g0, g, f, y1, y2) @ self.table.T
-            dec = np.zeros(len(g0), dtype=np.intp)
-            for lo, hi in self.spans:
-                dec += self.places[lo + np.argmin(metric[:, lo:hi], axis=1)]
-            return dec
-        # improper forwarded noise: whiten each trial's real-stacked cooperation residual
+    def _solved_coefficients(self, pa: PowerAllocation, g0, g, f, y1, y2) -> np.ndarray:
+        """psi of the improper path: -2b and Q from each trial's real-stacked covariance C.
+
+        b = R^T C^-1 y and Q = R^T C^-1 R, R the trial's real response. The
+        broadcast phase's noise is white, so it adds 2 c1 (Re, Im) conj(g0) y1
+        to b and 2 c1^2 |g0|^2 to Q's diagonal; the cooperation phase's part
+        comes from one batched solve against its covariance.
+        """
+        n, k = len(g0), self.t1
         c1 = pa.broadcast_amp
         c2 = c1 * pa.relay_gain
-        kap = pa.relay_gain_sq
-        cross1 = (c1 * np.conj(g0))[:, None] * (y1 @ np.conj(self.sym).T)
-        m1 = 2.0 * (c1 * c1 * np.abs(g0)[:, None] ** 2 * self.energy1[None, :] - 2.0 * cross1.real)
-        diff = y2[:, None, :] - c2 * np.einsum("br,ltr->blt", g * f, self.cols)
+        resp = ((g * f) @ self.gen_resp).reshape(n, 2 * k, self.t2)  # decoder model h = g f
+        rt = c2 * np.concatenate([resp.real, resp.imag], axis=2)  # (n, 2K, 2T2): R^T
         ga, gb = g.real, g.imag
         coeff = np.stack([ga * ga, ga * gb, gb * gb], axis=2)  # (n, R, 3)
-        mats = np.stack([self.gen_m, self.gen_k, self.gen_l], axis=1)  # (R, 3, d, d)
-        cov = 0.5 * np.eye(2 * self.t2) + 0.5 * kap * np.tensordot(coeff, mats, axes=([1, 2], [0, 1]))
-        w, vec = np.linalg.eigh(cov)
-        white = vec * (1.0 / np.sqrt(w))[:, None, :]  # (n, d, d): rows V diag(1/sqrt)
-        dreal = np.concatenate([diff.real, diff.imag], axis=2)  # (n, L, d)
-        e = np.einsum("bdk,bld->blk", white, dreal)
-        m2 = np.einsum("blk,blk->bl", e, e)
-        return np.argmin(m1 + m2, axis=1)
+        cov = 0.5 * np.eye(2 * self.t2) + (0.5 * pa.relay_gain_sq) * np.tensordot(
+            coeff, self.gen_mats, axes=([1, 2], [0, 1])
+        )
+        y2r = np.concatenate([y2.real, y2.imag], axis=1)
+        sol = np.linalg.solve(cov, np.concatenate([rt, y2r[:, None, :]], axis=1).transpose(0, 2, 1))
+        qb = rt @ sol  # (n, 2K, 2K + 1): the cooperation phase's Q, then its b
+        a1 = np.conj(g0)[:, None] * y1
+        b = np.concatenate([a1.real, a1.imag], axis=1) * (2.0 * c1) + qb[:, :, -1]
+        j, i = self.layout.monomials
+        psi = np.empty((n, 2 * k + len(j)))
+        np.multiply(b, -2.0, out=psi[:, : 2 * k])
+        np.multiply(qb[:, j, i], np.where(j < i, 2.0, 1.0), out=psi[:, 2 * k :])
+        psi[:, self.squares] += (2.0 * c1 * c1) * np.abs(g0)[:, None] ** 2
+        return psi
+
+    def coefficients(self, pa: PowerAllocation, g0, g, f, y1, y2) -> np.ndarray:
+        """Per-trial monomial coefficients psi: psi @ table.T is the ML metric up to a constant per trial."""
+        if self.noise_path == "general":
+            return self._solved_coefficients(pa, g0, g, f, y1, y2)
+        return self._proper_coefficients(pa, g0, g, f, y1, y2)
+
+    def decode_batch(self, pa: PowerAllocation, g0, g, f, y1, y2) -> np.ndarray:
+        """Exact ML decisions: one real GEMM of psi against the table; each symbol group takes its best candidate."""
+        metric = self.coefficients(pa, g0, g, f, y1, y2) @ self.table.T
+        dec = np.zeros(len(g0), dtype=np.intp)
+        for lo, hi in self.spans:
+            dec += self.places[lo + np.argmin(metric[:, lo:hi], axis=1)]
+        return dec
 
     def run_chunk(self, pa: PowerAllocation, seed: int, snr_idx: int, chunk_idx: int, n: int):
         """Codeword and bit errors of one chunk: its codewords first, then draw to count per row block.
@@ -867,8 +906,9 @@ class _Kernel:
         for lo, hi in _row_blocks(n, self.layout.block_rows):
             sent = idx[lo:hi]
             dec = self.decode_batch(pa, *self.simulate_batch(pa, rng, sent))
-            cw += int(np.count_nonzero(dec != sent))
-            bits += int(self.bitdist[self.digits[sent], self.digits[dec]].sum())
+            wrong = dec != sent  # only these carry bit errors
+            cw += int(np.count_nonzero(wrong))
+            bits += int(self.bitdist[self.symbol_digits(sent[wrong]), self.symbol_digits(dec[wrong])].sum())
         return cw, bits
 
 
@@ -983,8 +1023,11 @@ def monte_carlo_ber(cfg: SimConfig, telemetry: dict | None = None) -> list[BerPo
     ``telemetry``, when given, receives the decoder summary with
     ``block_rows`` the largest row block the call ran, ``kernel_build_s``
     (0 when the kernel came from the cache),
-    ``kernel_reused``, ``workers`` and ``blas_threads_per_worker`` (the
-    OpenBLAS thread count while chunks ran, None when it cannot be reached).
+    ``kernel_reused``, ``workers``, ``blas_threads_per_worker`` (the
+    OpenBLAS thread count while chunks ran, None when it cannot be reached)
+    and ``snr_points``: per SNR point its ``trials``, ``wall_s`` (from the
+    start of its first chunk to the end of its last, across workers) and
+    ``trials_per_s``.
     """
     kernel, build_s, reused = _cached_kernel(cfg.code, cfg.constellation, cfg.partial_csi)
     pas = cfg.power_allocations()
@@ -1000,7 +1043,9 @@ def monte_carlo_ber(cfg: SimConfig, telemetry: dict | None = None) -> list[BerPo
 
     def job(spec):
         snr_idx, ci, n = spec
-        return snr_idx, kernel.run_chunk(pas[snr_idx], cfg.seed, snr_idx, ci, n)
+        start = time.perf_counter()
+        counts = kernel.run_chunk(pas[snr_idx], cfg.seed, snr_idx, ci, n)
+        return snr_idx, counts, start, time.perf_counter()
 
     workers = min(cfg.threads, len(jobs))
     with _BLAS.one_thread() if workers > 1 else nullcontext():
@@ -1012,9 +1057,17 @@ def monte_carlo_ber(cfg: SimConfig, telemetry: dict | None = None) -> list[BerPo
         else:
             results = [job(spec) for spec in jobs]
     cw, bits = [0] * len(cfg.trials), [0] * len(cfg.trials)
-    for snr_idx, (c, b) in results:
+    spans = [[math.inf, -math.inf] for _ in cfg.trials]  # first chunk start, last chunk end
+    for snr_idx, (c, b), start, end in results:
         cw[snr_idx] += c
         bits[snr_idx] += b
+        spans[snr_idx] = [min(spans[snr_idx][0], start), max(spans[snr_idx][1], end)]
+    if telemetry is not None:
+        walls = [end - start for start, end in spans]
+        telemetry["snr_points"] = [
+            {"snr_db": snr, "trials": trials, "wall_s": wall, "trials_per_s": trials / wall if wall > 0 else None}
+            for snr, trials, wall in zip(cfg.snr_db, cfg.trials, walls)
+        ]
     points = []
     for snr, trials, c, b in zip(cfg.snr_db, cfg.trials, cw, bits):
         n_bits = trials * cfg.code.K * kernel.bits_per_symbol

@@ -142,7 +142,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "family, path, groups, width, candidates",
-        [("alamouti", "scalar", 1, 15, 8), ("cod8", "diagonal", 8, 201, 256)],
+        [("alamouti", "scalar", 1, 8, 8), ("cod8", "diagonal", 8, 40, 256)],
     )
     def test_manifest_records_decoder(self, tmp_path, monkeypatch, family, path, groups, width, candidates):
         monkeypatch.setattr(relay_channel_sim, "_KERNELS", OrderedDict())  # the first call builds
@@ -179,8 +179,23 @@ class TestSimulate:
         assert built["blas_threads_per_worker"] == reused["blas_threads_per_worker"] == blas
         assert pooled["blas_threads_per_worker"] == (None if blas is None else 1)
 
+    def test_manifest_records_per_snr_timing(self, tmp_path, capsys):
+        args = ["simulate", "--family", "alamouti", "--snr-db", "5,10,15", "--trials", "300,200,100", "--chunk", 64]
+        outputs = []
+        for threads in (1, 2):
+            manifest = tmp_path / f"t{threads}.json"
+            assert run(args + ["--threads", threads, "--manifest", manifest]) == 0
+            outputs.append(capsys.readouterr().out)
+            points = json.loads(manifest.read_text())["snr_points"]
+            assert [set(p) for p in points] == [{"snr_db", "trials", "wall_s", "trials_per_s"}] * 3
+            assert [(p["snr_db"], p["trials"]) for p in points] == [(5.0, 300), (10.0, 200), (15.0, 100)]
+            for p in points:
+                assert p["wall_s"] > 0 and p["trials_per_s"] == pytest.approx(p["trials"] / p["wall_s"])
+        # the timings go to the manifest only: stdout is the same CSV for any thread count
+        assert outputs[0] == outputs[1] and outputs[0].startswith("snr_db,trials,")
+
     def test_oversized_codebook_exits_two_before_allocating(self, tmp_path, capsys, monkeypatch):
-        # cuw8 on 16-QAM: 16.7 M codewords, whose relay columns alone take 16 GiB
+        # cuw8 on 16-QAM: 16.7 M codewords, whose joint table alone takes 9.8 GiB
         monkeypatch.setattr(relay_channel_sim, "_physical_memory", lambda: 8 << 30)
         args = ["simulate", "--family", "cuw8", "--constellation", "qam16", "--trials", "10", "--out", tmp_path / "x"]
         tracemalloc.start()
@@ -193,6 +208,18 @@ class TestSimulate:
         assert time.perf_counter() - start < 5.0 and peak < 16 * 2**20
         err = capsys.readouterr().err
         assert err.startswith("error: 16777216 codewords need about") and err.count("\n") == 1
+
+    def test_codebook_size_is_bounded_by_the_codeword_index_only(self, tmp_path, capsys):
+        # cuw4 x2 on 16-QAM: 4.3 G codewords, decoded symbol by symbol from a 128-row table
+        args = ["simulate", "--family", "cuw4", "--constellation", "qam16", "--trials", "16", "--out", tmp_path / "x"]
+        assert run(args + ["--blocks", "2"]) == 0
+        manifest = json.loads((tmp_path / "x.manifest.json").read_text())
+        assert manifest["decoder"]["codewords"] == 16**8 and manifest["decoder"]["decode_candidates"] == 128
+        capsys.readouterr()
+        # x4: 16**16 codewords, past the 64-bit codeword index
+        assert run(args + ["--blocks", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: 18446744073709551616 codewords") and err.count("\n") == 1
 
     def test_source_cooperation_power_exits_two_with_one_line(self, tmp_path, capsys):
         args = ["simulate", "--family", "alamouti", "--trials", "100", "--out", tmp_path / "x.csv"]

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dstc.code_library import (
     LinearDispersionCode,
@@ -290,6 +292,17 @@ class TestBundles:
             np.array_equal(a, b)
             for a, b in zip(code.weights_i + code.weights_q, loaded.weights_i + loaded.weights_q)
         )
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4))
+    def test_random_compliant_codes_round_trip(self, seed, k):
+        rng = np.random.default_rng(seed)
+        code = random_compliant_code(rng, t=int(rng.integers(max(k, 2), 7)), n=int(rng.integers(1, 5)), k=k)
+        bundle = json.loads(json.dumps(to_bundle(code)))  # through JSON text, as save/load go
+        loaded = from_bundle(bundle)
+        assert (loaded.T, loaded.N, loaded.K, loaded.name) == (code.T, code.N, code.K, code.name)
+        assert np.array_equal(loaded.real_weights(), code.real_weights())
+        assert to_bundle(loaded) == bundle
 
     def test_rejects_nan(self):
         bundle = to_bundle(alamouti())

@@ -36,8 +36,8 @@ from dstc.relay_channel_sim import (
     ReceivedSignal,
     SimConfig,
     _cached_kernel,
-    _form_table,
     _Kernel,
+    _monomial_table,
     _row_blocks,
     codebook_symbol_vectors,
     decoder_layout,
@@ -425,11 +425,12 @@ COUPLED_CODES = [square_cod(4), square_cod(8), cuw_ssd(8), gciod(square_cod(4), 
 
 def codeword_metrics(kernel, pa, batch):
     """The kernel's GEMM metric of every codeword, its symbol groups' metrics summed: (n, L)."""
-    per_candidate = kernel._features(pa, *batch) @ kernel.table.T
+    per_candidate = kernel.coefficients(pa, *batch) @ kernel.table.T
     m = len(kernel.bitdist)  # the constellation size
+    digits = kernel.symbol_digits(np.arange(kernel.L))
     out = np.zeros((len(per_candidate), kernel.L))
     for grp, (lo, hi) in zip(kernel.layout.symbol_groups, kernel.spans):
-        candidate = kernel.digits[:, list(grp)] @ (m ** np.arange(len(grp))[::-1])
+        candidate = digits[:, list(grp)] @ (m ** np.arange(len(grp))[::-1])
         out += per_candidate[:, lo:hi][:, candidate]
     return out
 
@@ -547,9 +548,9 @@ class TestKernel:
         kernel, _, _ = kernel_batch(square_cod(8), 10.0, 2, seed=27)
         table = kernel.table
         assert table.shape == (kernel.L, kernel.layout.feature_width)
-        # the diagonal path keeps no column that is zero for every codeword
+        # the diagonal path keeps no monomial that is zero for every codeword
         assert np.all(np.any(table != 0, axis=0))
-        assert kernel.layout.feature_width < 1 + 8 + 2 * 64 + 8 * 64  # one R x R triangle per group
+        assert kernel.layout.feature_width < 8 + 36  # [x, x_j x_i]: 4 of the 36 products are never weighed
         # a decoupled code holds one table row per symbol value, none per codeword
         kernel, _, _ = kernel_batch(block_diagonal_extend(cuw_ssd(4), 2), 10.0, 2, seed=27)
         assert kernel.L == 65536 and kernel.table.shape == (8 * 4, kernel.layout.feature_width)
@@ -564,14 +565,46 @@ class TestKernel:
         kernel = _Kernel(code, con, partial_csi=True)
         assert kernel.layout.symbol_groups == tuple((m,) for m in range(code.K))
         assert len(kernel.table) == code.K * con.size
-        joint = _form_table(kernel.sym, kernel.layout.forms)
+        joint = _monomial_table(codebook_symbol_vectors(code, con)[0], kernel.layout.monomials)
         n = 120 if kernel.L > 4096 else 400
         for p in (3.0, 30.0, 1000.0):
             _, pa, batch = kernel_batch(code, p, n, seed=29, kernel=kernel)
-            phi = kernel._features(pa, *batch)
-            want = np.concatenate([np.argmin(phi[lo:lo + 40] @ joint.T, axis=1) for lo in range(0, n, 40)])
+            psi = kernel.coefficients(pa, *batch)
+            want = np.concatenate([np.argmin(psi[lo:lo + 40] @ joint.T, axis=1) for lo in range(0, n, 40)])
             assert np.array_equal(kernel.decode_batch(pa, *batch), want)
             assert len(set(want.tolist())) > 1
+
+    @pytest.mark.parametrize(
+        "code, width",
+        [(cuw_ssd(8), 78), (square_cod(8), 40), (gciod(square_cod(4), square_cod(4)), 48), (square_cod(4), 24),
+         (clifford_4x4(), 20), (cuw_ssd(4), 20), (alamouti(), 8)],
+        ids=lambda v: v.name if isinstance(v, LinearDispersionCode) else str(v),
+    )  # fmt: skip
+    def test_monomial_width_of_built_in_families(self, code, width):
+        # the table's columns: the 2K real symbols, then the products x_j x_i that some trial weighs
+        layout = decoder_layout(code, Constellation.qpsk())
+        j, i = layout.monomials
+        assert layout.feature_width == width and layout.quadratic.shape[1] == len(layout.slot_groups) * len(j)
+        assert width == 2 * code.K + len(j) and np.all(j <= i) and len(set(zip(j, i))) == len(j)
+        assert np.array_equal(j[j == i], np.arange(2 * code.K))  # every square: ||s||^2 weighs them all
+
+    @pytest.mark.parametrize(
+        "code, joint",
+        [(code, False) for code in SINGLE_SYMBOL_CODES] + [(code, True) for code in COUPLED_CODES],
+        ids=[c.name for c in SINGLE_SYMBOL_CODES + COUPLED_CODES],
+    )
+    def test_kernel_holds_no_per_codeword_array(self, code, joint):
+        # symbols and digits come from the codeword index; only a joint group's table has a row per codeword
+        kernel = _Kernel(code, Constellation.qpsk(), partial_csi=True)
+        per_codeword = [v for v in vars(kernel).values() if isinstance(v, np.ndarray) and len(v) == kernel.L]
+        if joint:
+            assert len(kernel.table) == len(kernel.places) == kernel.L
+            assert all(v is kernel.table or v is kernel.places for v in per_codeword)
+        else:
+            assert per_codeword == [] and len(kernel.table) == code.K * 4
+        idx = np.arange(kernel.L)
+        assert np.array_equal(kernel.symbol_digits(idx), codebook_symbol_vectors(code, Constellation.qpsk())[1])
+        assert kernel.nbytes <= kernel.layout.kernel_bytes
 
     @pytest.mark.parametrize("code", COUPLED_CODES, ids=lambda c: c.name)
     def test_coupled_codes_are_refused_by_the_oracle(self, code):
@@ -592,7 +625,7 @@ class TestKernel:
     def test_oversized_codebook_is_refused_before_allocating(self, monkeypatch):
         code, qam16 = cuw_ssd(8), Constellation.qam16()
         layout = decoder_layout(code, qam16)
-        assert layout.codewords == 16**6 and layout.kernel_bytes > 16 * 2**30
+        assert layout.codewords == 16**6 and layout.kernel_bytes > 8 * 78 * 16**6  # more than the 9.8 GiB table
         tracemalloc.start()
         start = time.perf_counter()
         try:
@@ -601,7 +634,7 @@ class TestKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the layout's forms only: a thousandth of the 16 GiB the relay columns alone would take
+        # the layout's forms only: a six-hundredth of the 9.8 GiB the table alone would take
         assert peak < 16 * 2**20 and time.perf_counter() - start < 5.0
         # the bound is half of the machine's memory
         kernel = _Kernel(square_cod(8), Constellation.qpsk(), partial_csi=True)
@@ -623,6 +656,23 @@ class TestKernel:
         assert decoder_layout(code, Constellation.qpsk()).feature_width is None
         dec = kernel.decode_batch(pa, *batch)
         assert list(dec) == reference_decisions(code, pa, batch)
+
+    @pytest.mark.parametrize(
+        "code, path",
+        [
+            (alamouti(), "scalar"),
+            (square_cod(4), "diagonal"),
+            (random_compliant_code(np.random.default_rng(5), t=3, k=2), "general"),
+        ],
+        ids=["alamouti", "cod4", "random"],
+    )
+    def test_qam16_decisions_match_reference(self, code, path):
+        # on 16-QAM ||s||^2 differs between codewords, so the squares' energy terms take part in the decision
+        con = Constellation.qam16()
+        kernel, pa, batch = kernel_batch(code, 40.0, 60, seed=31, con=con)
+        assert kernel.noise_path == path
+        ref = reference_decisions(code, pa, batch, con)
+        assert list(kernel.decode_batch(pa, *batch)) == ref and len(set(ref)) > 1
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3))
@@ -823,11 +873,13 @@ class TestKernelCache:
         assert get(codes[2])[2] is False and get(codes[2])[2] is False
         assert len(empty_kernel_cache) == 1 and get(codes[0])[2] is True
 
-    def test_largest_built_in_codebook_is_not_kept(self, empty_kernel_cache):
-        # cuw4 --blocks 2: 65536 codewords, a table and relay columns of about 110 MiB
-        kernel, _, reused = _cached_kernel(block_diagonal_extend(cuw_ssd(4), 2), Constellation.qpsk(), True)
-        assert kernel.L == 65536 and kernel.nbytes > KERNEL_CACHE_BYTES
-        assert not reused and len(empty_kernel_cache) == 0
+    def test_largest_built_in_codebook_is_kept(self, empty_kernel_cache):
+        # cuw4 --blocks 2: 65536 codewords, decoded symbol by symbol from a 32-row table
+        code = block_diagonal_extend(cuw_ssd(4), 2)
+        kernel, _, reused = _cached_kernel(code, Constellation.qpsk(), True)
+        assert kernel.L == 65536 and kernel.nbytes < KERNEL_CACHE_BYTES // 100
+        assert not reused and len(empty_kernel_cache) == 1
+        assert _cached_kernel(code, Constellation.qpsk(), True) == (kernel, 0.0, True)
 
     def test_concurrent_callers_match_serial_calls(self, empty_kernel_cache):
         # more callers than cores, switching often: exactly one of them may build the kernel
