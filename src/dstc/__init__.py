@@ -59,7 +59,6 @@ from .relay_channel_sim import (
     PowerAllocation,
     ReceivedSignal,
     SimConfig,
-    decoder_layout,
     dstc_matrix,
     estimate_diversity,
     group_ml_decode,

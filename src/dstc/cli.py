@@ -14,7 +14,7 @@ Subcommands:
 
 Every run writes a manifest (config echo, content hashes, version, wall
 clock, tolerances) sufficient to reproduce its outputs bit-exactly.
-Exit codes: 0 success, 1 verification failure, 2 usage or config error.
+Exit codes: 0 success, 1 verification failure, 2 usage, config or file error.
 """
 
 from __future__ import annotations
@@ -401,6 +401,36 @@ _DISPATCH = {
 }
 
 
+def _apply_config(parser: argparse.ArgumentParser, args, argv: list, defaults) -> None:
+    """Set each option of the subcommand that the config names and the command line leaves out.
+
+    A value takes its flag's parse, a list joined with commas, so a config
+    value means what the same text means on the command line. Keys the
+    subcommand lacks are skipped, and null leaves the option at its default.
+    """
+    if not isinstance(defaults, dict):
+        raise ParameterError(f"config must be a JSON object of option values, got {type(defaults).__name__}")
+    (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = {a.dest: a for a in subcommands.choices[args.command]._actions if hasattr(args, a.dest)}
+    for key, value in defaults.items():
+        action = actions.get(key.replace("-", "_"))
+        flag = f"--{key.replace('_', '-')}"
+        if action is None or value is None or any(tok == flag or tok.startswith(flag + "=") for tok in argv):
+            continue
+        if action.nargs == 0:  # an on/off flag
+            if not isinstance(value, bool):
+                raise ParameterError(f"config {key!r} must be true or false, got {value!r}")
+        else:
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            try:
+                value = action.type(text) if action.type else text
+            except (TypeError, ValueError):
+                raise ParameterError(f"config {key!r}: {text!r} is not a valid {flag} value") from None
+            if action.choices is not None and value not in action.choices:
+                raise ParameterError(f"config {key!r}: {flag} must be one of {list(action.choices)}, got {value!r}")
+        setattr(args, action.dest, value)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -415,16 +445,12 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 2
-        for key, value in defaults.items():
-            attr = key.replace("-", "_")
-            flag = f"--{key.replace('_', '-')}"
-            explicit = any(tok == flag or tok.startswith(flag + "=") for tok in argv)
-            if hasattr(args, attr) and not explicit:
-                setattr(args, attr, value)
     args.started = time.time()
     try:
+        if args.config:
+            _apply_config(parser, args, argv, defaults)
         return _DISPATCH[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # bad input or a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -225,6 +225,12 @@ def apply_precoding(
 # ---------------------------------------------------------------------------
 
 
+def _ranks(mats: np.ndarray, tol: float) -> np.ndarray:
+    """Numerical rank of each matrix of a stack: its singular values above ``tol`` times the largest."""
+    s = np.linalg.svd(mats, compute_uv=False)
+    return (s > tol * np.maximum(s[:, :1], 1e-300)).sum(axis=1)
+
+
 @dataclass(frozen=True)
 class CodebookAnalysis:
     n_codewords: int
@@ -259,9 +265,7 @@ def analyze_codebook(codebook, tol: float = RANK_TOL, budget: int = PAIR_SCAN_BU
     worst = (0, 1)
     for i in range(L - 1):
         diffs = cb[i + 1 :] - cb[i]
-        s = np.linalg.svd(diffs, compute_uv=False)
-        ranks = (s > tol * np.maximum(s[:, :1], 1e-300)).sum(axis=1)
-        ranks[s[:, 0] == 0.0] = 0
+        ranks = _ranks(diffs, tol)
         if T == N:
             dets = np.abs(np.linalg.det(diffs)) ** 2
         else:
@@ -307,21 +311,13 @@ def min_rank_group_differences(
     this scan is exhaustive for them.
     """
     check_tol(tol, "rank tolerance")
-    alphabet = np.asarray(per_dim_alphabet, dtype=float)
-    tuples = np.asarray(list(itertools.product(alphabet, repeat=spec.lam)))
-    rotated = tuples @ np.asarray(spec.rotation, float).T
-    diffs = rotated[:, None, :] - rotated[None, :, :]
-    diffs = diffs.reshape(-1, spec.lam)
-    diffs = np.unique(np.round(diffs, 12), axis=0)
-    diffs = diffs[np.any(diffs != 0.0, axis=1)]
+    # rotated tuple differences R u - R v are the rotated differences R (u - v)
+    diffs = nonzero_differences(per_dim_alphabet, spec.lam) @ np.asarray(spec.rotation, float).T
     weights = code.real_weights()
     min_rank = min(code.T, code.N)
     for group in spec.groups:
         mats = np.einsum("dk,ktn->dtn", diffs, weights[list(group)])
-        s = np.linalg.svd(mats, compute_uv=False)
-        ranks = (s > tol * np.maximum(s[:, :1], 1e-300)).sum(axis=1)
-        ranks[s[:, 0] == 0.0] = 0
-        min_rank = min(min_rank, int(ranks.min()))
+        min_rank = min(min_rank, int(_ranks(mats, tol).min()))
     return min_rank
 
 

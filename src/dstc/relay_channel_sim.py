@@ -53,7 +53,7 @@ import numpy as np
 
 from .code_library import LinearDispersionCode, scaled_relay_pairs
 from .constraint_checker import check_power, dispersion_matrix
-from .diversity_analyzer import Constellation
+from .diversity_analyzer import Constellation, _digit_grid
 from .errors import ContractError, DimensionError, InsufficientDataError, ParameterError
 from .matrix_core import real_stack
 
@@ -290,11 +290,6 @@ def _symbol_scale(code: LinearDispersionCode, constellation: Constellation) -> f
     return 1.0 / math.sqrt(code.K * constellation.mean_energy())
 
 
-def _digit_grid(m: int, k: int) -> np.ndarray:
-    """All (m**k, k) base-m digit rows in counting order, first digit most significant."""
-    return np.stack(np.meshgrid(*([np.arange(m)] * k), indexing="ij"), axis=-1).reshape(-1, k)
-
-
 def quadrature_pair_values(constellation: Constellation, scale: float) -> np.ndarray:
     """Per-symbol group value table [(Re p, Im p) * scale] in point order."""
     pts = np.asarray(constellation.points)
@@ -484,125 +479,6 @@ BLOCK_BYTES = 8 << 20
 _NOISE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class DecoderLayout:
-    """How the batched ML decoder handles one code and constellation.
-
-    For every code the exact ML metric is, up to a per-trial constant, the
-    quadratic form ``-2 b^T x + x^T Q x`` in the 2K real symbols
-    x = (Re s, Im s). So each trial is scored by one real GEMM of its
-    coefficients psi (``-2 b`` and the upper triangle of Q, off-diagonal
-    entries doubled) against a table whose rows are the candidates'
-    monomials ``[x, x_j x_i]`` (j <= i, the pairs in ``monomials``). The
-    metric splits into a sum over ``symbol_groups``, the symbols that no
-    cross monomial ties to the rest, so the table holds one row per
-    candidate of each group, ``decode_candidates`` rows in all: every
-    symbol alone for the single-symbol decodable codes, one joint group of
-    all codewords otherwise.
-
-    Under the ``scalar`` and ``diagonal`` noise paths the cooperation noise
-    is white within each group of slots that share a per-relay noise
-    diagonal (one group under ``scalar``). psi then comes from two fixed
-    GEMMs (see ``_diagonal_forms``): ``linear`` maps the trial's products of
-    channel and received signal onto x, ``quadratic`` maps its channel
-    products onto each slot group's monomials, weighed per trial by the
-    group's noise weight. Monomials with a zero coefficient for every
-    channel are left out (``feature_width`` counts the rest). The improper
-    ``general`` path solves each trial's own real covariance for b and Q
-    and keeps every monomial.
-
-    A chunk runs draw, synthesis, decoding and counting in row blocks of at
-    most ``block_rows`` trials. ``kernel_bytes`` estimates the arrays the
-    kernel holds and builds its table from, at their peak while it is
-    built; the layout's own form arrays come first and do not grow with the
-    codebook.
-    """
-
-    noise_path: str
-    slot_groups: tuple[tuple[int, ...], ...]  # cooperation slots of each noise-weight group
-    noise_diag: np.ndarray | None  # (R, G): per-relay noise diagonal of each group
-    codewords: int
-    symbol_groups: tuple[tuple[int, ...], ...]  # complex symbols decided together
-    decode_candidates: int  # table rows
-    block_rows: int
-    kernel_bytes: int
-    monomials: tuple  # (j, i): the real-symbol pairs of the table's quadratic monomials
-    feature_width: int | None = None  # table columns on the scalar and diagonal paths
-    z_keep: tuple | None = None  # (t, r): the slot and relay of each product conj(h_r) y2_t weighed
-    linear: np.ndarray | None = None  # (2 Z, 2K): those products onto x
-    outer_keep: tuple | None = None  # (a, b): the relay pairs of each product conj(h_a) h_b weighed
-    quadratic: np.ndarray | None = None  # (2 E, G P): those products onto each group's monomials
-
-    def summary(self) -> dict:
-        """JSON-ready description for run manifests."""
-        return {
-            "noise_path": self.noise_path,
-            "noise_groups": len(self.slot_groups),
-            "codewords": self.codewords,
-            "symbol_groups": [list(g) for g in self.symbol_groups],
-            "decode_candidates": self.decode_candidates,
-            "feature_width": self.feature_width,
-            "block_rows": self.block_rows,
-        }
-
-
-def decoder_layout(code: LinearDispersionCode, constellation: Constellation) -> DecoderLayout:
-    """The decoder layout for a code and constellation, without building any per-codeword array."""
-    return _layout(scaled_relay_pairs(code), constellation.size)
-
-
-def _layout(pairs, m: int) -> DecoderLayout:
-    """Classify the forwarded noise from the dispersion Grams Z_r Z_r^T and lay the decoder out.
-
-    Diagonal Grams with equal real and imaginary halves keep the noise
-    proper and white per slot; slots are then grouped by their per-relay
-    diagonal. Anything else takes the ``general`` path. ``m`` is the
-    constellation size.
-    """
-    a, b = np.stack([p.a for p in pairs]), np.stack([p.b for p in pairs])
-    r, t2, k = a.shape
-    codewords = m**k
-    zz = np.stack([z @ z.T for z in map(dispersion_matrix, pairs)])
-    diag = np.diagonal(zz, axis1=1, axis2=2)  # (R, 2T2)
-    off = np.max(np.abs(zz - diag[:, :, None] * np.eye(2 * t2)))
-    d_re = diag[:, :t2]
-    # per trial: the normal draws, the synthesis arrays (the relays' received signals and their
-    # products with g) and the counting gathers
-    draws = 1 + 2 * r + k + r * k + t2
-    row_bytes = 16 * (draws + 3 * k + 5 * r * k + 4 * t2) + 40 * k
-    # held whatever the code: the relay matrices and the bit-distance table
-    fixed = 32 * r * t2 * k + 8 * m * m
-    if off > _NOISE_TOL or np.max(np.abs(d_re - diag[:, t2:])) > _NOISE_TOL:
-        monomials = np.triu_indices(2 * k)
-        width = 2 * k + len(monomials[0])
-        d = 2 * t2
-        # per trial: the responses, covariance, solve operands and Q, then psi and the metric row
-        row_bytes += 48 * k * t2 + 24 * d * (d + 2 * k + 1) + 32 * k * k + 8 * width + 8 * codewords
-        fixed += 24 * r * d * d + 32 * k * t2 * r
-        return DecoderLayout(
-            "general", (), None, codewords, (tuple(range(k)),), codewords,
-            _block_rows(row_bytes), fixed + _table_bytes(codewords, k, width), monomials,
-        )  # fmt: skip
-    # each slot joins the group of the first slot with the same diagonal
-    first = np.argmax(np.max(np.abs(d_re[:, :, None] - d_re[:, None, :]), axis=0) <= _NOISE_TOL, axis=0)
-    leaders = sorted(set(first.tolist()))
-    groups = tuple(tuple(np.flatnonzero(first == t).tolist()) for t in leaders)
-    noise_diag = np.ascontiguousarray(d_re[:, leaders])
-    z_keep, linear, outer_keep, quadratic, monomials = _diagonal_forms(a, b, groups)
-    width = 2 * k + len(monomials[0])
-    symbol_groups = _symbol_groups(monomials, k)
-    candidates = sum(m ** len(g) for g in symbol_groups)
-    # per trial: the products and their gathers, each group's monomial coefficients, psi and the metric row
-    row_bytes += 48 * (len(z_keep[0]) + len(outer_keep[0]) + t2) + 16 * quadratic.shape[1]
-    row_bytes += 8 * width + 8 * candidates + 32 * (k + 2 * r)
-    fixed += linear.nbytes + quadratic.nbytes + sum(_table_bytes(m ** len(g), len(g), width) for g in symbol_groups)
-    path = "scalar" if len(groups) == 1 else "diagonal"
-    return DecoderLayout(
-        path, groups, noise_diag, codewords, symbol_groups, candidates, _block_rows(row_bytes), fixed,
-        monomials, width, z_keep, linear, outer_keep, quadratic,
-    )  # fmt: skip
-
-
 def _table_bytes(rows: int, k: int, width: int) -> int:
     """Bytes of a table segment of ``rows`` candidates of ``k`` symbols at its peak while built.
 
@@ -644,16 +520,11 @@ def _diagonal_forms(a: np.ndarray, b: np.ndarray, groups) -> tuple:
     # x_j x_i (j <= i) weighs sum_t conj(M_jta) M_itb + conj(M_ita) M_jtb (once when j == i)
     j, i = np.triu_indices(2 * k)
     ea, eb = np.triu_indices(r)
-    prod = np.conj(m[j][:, :, ea])  # (P, T2, E), formed in place: it grows as K^2 T2 R^2
-    prod *= m[i][:, :, eb]
-    cross = np.conj(m[i][:, :, ea])
-    cross *= m[j][:, :, eb]
-    cross *= (j < i)[:, None, None]
-    prod += cross
-    del cross
-    sizes = [len(grp) for grp in groups]
-    order = [t for grp in groups for t in grp]
-    w = np.add.reduceat(prod[:, order], np.cumsum([0] + sizes[:-1]), axis=1)  # (P, G, E)
+    w = np.empty((len(j), len(groups), len(ea)), dtype=complex)  # (P, G, E)
+    for g, slots in enumerate(groups):
+        mg = m[:, list(slots)]
+        full = np.einsum("jta,itb->jiab", np.conj(mg), mg)[:, :, ea, eb]  # (2K, 2K, E): sums over the group's slots
+        w[:, g] = full[j, i] + (j < i)[:, None] * full[i, j]
     w *= np.where(ea < eb, 2.0, 1.0)  # conj(h_b) h_a weighs the conjugate of the same term
     used = np.any(w != 0, axis=(1, 2)) | (j == i)
     outer = np.any(w != 0, axis=(0, 1))
@@ -714,63 +585,128 @@ def _row_blocks(n: int, rows: int) -> list[tuple[int, int]]:
 class _Kernel:
     """Vectorized per-chunk simulator + exact ML decoder for one code/constellation.
 
-    It holds no array per codeword but a joint symbol group's table: the
-    sent symbols and their digits come from the codeword index.
+    For every code the exact ML metric is, up to a per-trial constant, the
+    quadratic form ``-2 b^T x + x^T Q x`` in the 2K real symbols
+    x = (Re s, Im s). So each trial is scored by one real GEMM of its
+    coefficients psi (``-2 b`` and the upper triangle of Q, off-diagonal
+    entries doubled) against a table whose rows are the candidates'
+    monomials ``[x, x_j x_i]`` (j <= i, the pairs in ``monomials``). The
+    metric splits into a sum over ``symbol_groups``, the symbols that no
+    cross monomial ties to the rest, so the table holds one row per
+    candidate of each group: every symbol alone for the single-symbol
+    decodable codes, one joint group of all codewords otherwise. The kernel
+    holds no other array per codeword: the sent symbols and their digits
+    come from the codeword index.
+
+    Under the ``scalar`` and ``diagonal`` noise paths the cooperation noise
+    is white within each group of slots that share a per-relay noise
+    diagonal (one group under ``scalar``). psi then comes from two fixed
+    GEMMs (see ``_diagonal_forms``): ``linear`` maps the trial's products of
+    channel and received signal onto x, ``quadratic`` maps its channel
+    products onto each slot group's monomials, weighed per trial by the
+    group's noise weight. Monomials with a zero coefficient for every
+    channel are left out. The improper ``general`` path solves each trial's
+    own real covariance for b and Q and keeps every monomial.
+
+    A chunk runs draw, synthesis, decoding and counting in row blocks of at
+    most ``block_rows`` trials. ``kernel_bytes`` estimates the arrays the
+    kernel holds and builds its table from, at their peak while it is
+    built; a codebook past the 64-bit codeword index, or whose estimate
+    exceeds half of physical memory, is refused before any table is built.
     Read-only once built, so concurrent callers may share one.
     """
 
     def __init__(self, code: LinearDispersionCode, con: Constellation, partial_csi: bool):
         self.partial_csi = partial_csi
         pairs = scaled_relay_pairs(code)
-        self.layout = layout = _layout(pairs, con.size)
-        if layout.codewords >= 1 << 63:
-            raise ParameterError(f"{layout.codewords} codewords do not fit a 64-bit codeword index")
-        memory = _physical_memory()
-        if memory and layout.kernel_bytes > memory // 2:
-            raise ParameterError(
-                f"{layout.codewords} codewords need about {layout.kernel_bytes / 2**30:.1f} GiB to simulate, "
-                f"more than half of the {memory / 2**30:.1f} GiB of memory"
-            )
-        self.noise_path = layout.noise_path
         a = np.stack([p.a for p in pairs])  # (R, T2, T1)
         b = np.stack([p.b for p in pairs])
-        self.r, self.t2, self.t1 = a.shape
-        self.a_flat = a.transpose(1, 0, 2).reshape(self.t2, -1)  # (T2, R*T1)
-        self.b_flat = b.transpose(1, 0, 2).reshape(self.t2, -1)
-        self.m, self.L = con.size, layout.codewords
+        self.r, self.t2, self.t1 = r, t2, k = a.shape
+        self.m, self.L = m, codewords = con.size, con.size**k
+        if codewords >= 1 << 63:
+            raise ParameterError(f"{codewords} codewords do not fit a 64-bit codeword index")
+        # Diagonal dispersion Grams Z_r Z_r^T with equal real and imaginary halves keep the
+        # forwarded noise proper and white per slot; slots are then grouped by their per-relay
+        # diagonal. Anything else takes the general path.
+        zz = np.stack([z @ z.T for z in map(dispersion_matrix, pairs)])
+        diag = np.diagonal(zz, axis1=1, axis2=2)  # (R, 2T2)
+        off = np.max(np.abs(zz - diag[:, :, None] * np.eye(2 * t2)))
+        d_re = diag[:, :t2]
+        # per trial: the normal draws, the synthesis arrays (the relays' received signals and their
+        # products with g) and the counting gathers
+        draws = 1 + 2 * r + k + r * k + t2
+        row_bytes = 16 * (draws + 3 * k + 5 * r * k + 4 * t2) + 40 * k
+        # held whatever the code: the relay matrices and the bit-distance table
+        fixed = 32 * r * t2 * k + 8 * m * m
+        if off > _NOISE_TOL or np.max(np.abs(d_re - diag[:, t2:])) > _NOISE_TOL:
+            self.noise_path, self.slot_groups = "general", ()
+            self.monomials = np.triu_indices(2 * k)
+            self.symbol_groups = (tuple(range(k)),)
+            d = 2 * t2
+            # per trial: the responses, covariance, solve operands and Q
+            row_bytes += 48 * k * t2 + 24 * d * (d + 2 * k + 1) + 32 * k * k
+            fixed += 24 * r * d * d + 32 * k * t2 * r
+            jt = np.block([[np.zeros((t2, t2)), -np.eye(t2)], [np.eye(t2), np.zeros((t2, t2))]])
+            # per relay, the covariance terms weighed by Re g^2, Re g Im g and Im g^2
+            self.gen_mats = np.stack([np.stack([z, jt @ z - z @ jt, -(jt @ z @ jt)]) for z in zz])
+            # the cooperation response of Re s_j and Im s_j per unit relay gain: (R, 2K T2)
+            self.gen_resp = np.ascontiguousarray(_symbol_responses(a, b).reshape(2 * k * t2, r).T)
+        else:
+            # each slot joins the group of the first slot with the same diagonal
+            first = np.argmax(np.max(np.abs(d_re[:, :, None] - d_re[:, None, :]), axis=0) <= _NOISE_TOL, axis=0)
+            leaders = sorted(set(first.tolist()))
+            self.slot_groups = tuple(tuple(np.flatnonzero(first == t).tolist()) for t in leaders)
+            self.noise_path = "scalar" if len(leaders) == 1 else "diagonal"
+            self.noise_diag = np.ascontiguousarray(d_re[:, leaders])  # (R, G): per-relay noise diagonal of each group
+            # z_keep (t, r): the slot and relay of each product conj(h_r) y2_t weighed, linear (2 Z, 2K) those
+            # products onto x; outer_keep (a, b): the relay pairs of each product conj(h_a) h_b weighed,
+            # quadratic (2 E, G P) those products onto each group's monomials
+            self.z_keep, self.linear, self.outer_keep, self.quadratic, self.monomials = _diagonal_forms(
+                a, b, self.slot_groups
+            )
+            self.symbol_groups = _symbol_groups(self.monomials, k)
+            # per trial: the products and their gathers and each group's monomial coefficients
+            row_bytes += 48 * (len(self.z_keep[0]) + len(self.outer_keep[0]) + t2) + 16 * self.quadratic.shape[1]
+            row_bytes += 32 * (k + 2 * r)
+            fixed += self.linear.nbytes + self.quadratic.nbytes
+        j, i = self.monomials
+        width = 2 * k + len(j)
+        candidates = sum(m ** len(g) for g in self.symbol_groups)
+        row_bytes += 8 * width + 8 * candidates  # psi and the metric row
+        self.block_rows = _block_rows(row_bytes)
+        self.kernel_bytes = fixed + sum(_table_bytes(m ** len(g), len(g), width) for g in self.symbol_groups)
+        memory = _physical_memory()
+        if memory and self.kernel_bytes > memory // 2:
+            raise ParameterError(
+                f"{codewords} codewords need about {self.kernel_bytes / 2**30:.1f} GiB to simulate, "
+                f"more than half of the {memory / 2**30:.1f} GiB of memory"
+            )
+        self.a_flat = a.transpose(1, 0, 2).reshape(t2, -1)  # (T2, R*T1)
+        self.b_flat = b.transpose(1, 0, 2).reshape(t2, -1)
         self.points = _symbol_scale(code, con) * np.asarray(con.points)
-        self.place = self.m ** np.arange(self.t1 - 1, -1, -1)  # each symbol's digit weight in the index
-        j, i = layout.monomials
-        self.squares = 2 * self.t1 + np.flatnonzero(j == i)  # psi's columns of the monomials x_j^2
-        self.slot_group = np.zeros(self.t2, dtype=np.intp)  # each cooperation slot's noise-weight group
-        for grp, slots in enumerate(layout.slot_groups):
+        self.place = m ** np.arange(k - 1, -1, -1)  # each symbol's digit weight in the index
+        self.squares = 2 * k + np.flatnonzero(j == i)  # psi's columns of the monomials x_j^2
+        self.slot_group = np.zeros(t2, dtype=np.intp)  # each cooperation slot's noise-weight group
+        for grp, slots in enumerate(self.slot_groups):
             self.slot_group[list(slots)] = grp
         self.bits_per_symbol = con.bits_per_symbol
         labels = con.bit_labels
         self.bitdist = np.array(
             [[bin(la ^ lb).count("1") for lb in labels] for la in labels], dtype=np.int64
         )
-        if self.noise_path == "general":
-            t2, k = self.t2, self.t1
-            jt = np.block([[np.zeros((t2, t2)), -np.eye(t2)], [np.eye(t2), np.zeros((t2, t2))]])
-            zz = [dispersion_matrix(p) @ dispersion_matrix(p).T for p in pairs]
-            # per relay, the covariance terms weighed by Re g^2, Re g Im g and Im g^2
-            self.gen_mats = np.stack([np.stack([z, jt @ z - z @ jt, -(jt @ z @ jt)]) for z in zz])
-            # the cooperation response of Re s_j and Im s_j per unit relay gain: (R, 2K T2)
-            self.gen_resp = np.ascontiguousarray(_symbol_responses(a, b).reshape(2 * k * t2, self.r).T)
         # One table segment per symbol group, one row per candidate of the group: the
         # group's symbols take their candidate's points and every other symbol is 0.
         # ``places`` holds each candidate's share of the codeword index.
-        self.table = np.empty((layout.decode_candidates, 2 * self.t1 + len(j)))  # the GEMM reads its transpose
-        self.places = np.empty(layout.decode_candidates, dtype=np.intp)
+        self.table = np.empty((candidates, width))  # the GEMM reads its transpose
+        self.places = np.empty(candidates, dtype=np.intp)
         self.spans = []  # each group's rows of the table
         lo = 0
-        for grp in layout.symbol_groups:
-            digits = _digit_grid(self.m, len(grp))
+        for grp in self.symbol_groups:
+            digits = _digit_grid(m, len(grp))
             hi = lo + len(digits)
-            sym = np.zeros((len(digits), self.t1), dtype=complex)
+            sym = np.zeros((len(digits), k), dtype=complex)
             sym[:, grp] = self.points[digits]
-            _monomial_table(sym, layout.monomials, out=self.table[lo:hi])
+            _monomial_table(sym, self.monomials, out=self.table[lo:hi])
             self.places[lo:hi] = digits @ self.place[list(grp)]
             self.spans.append((lo, hi))
             lo = hi
@@ -778,10 +714,20 @@ class _Kernel:
     @property
     def nbytes(self) -> int:
         """Bytes of the arrays the kernel holds."""
-        layout = self.layout
-        forms = (layout.noise_diag, layout.linear, layout.quadratic, *layout.monomials)
-        arrays = (*vars(self).values(), *forms, *(layout.z_keep or ()), *(layout.outer_keep or ()))
-        return sum(v.nbytes for v in arrays if isinstance(v, np.ndarray))
+        values = [v for value in vars(self).values() for v in (value if isinstance(value, tuple) else (value,))]
+        return sum(v.nbytes for v in values if isinstance(v, np.ndarray))
+
+    def summary(self) -> dict:
+        """JSON-ready description of the decoder for run manifests."""
+        return {
+            "noise_path": self.noise_path,
+            "noise_groups": len(self.slot_groups),
+            "codewords": self.L,
+            "symbol_groups": [list(g) for g in self.symbol_groups],
+            "decode_candidates": len(self.table),
+            "feature_width": None if self.noise_path == "general" else self.table.shape[1],
+            "block_rows": self.block_rows,
+        }
 
     def symbol_digits(self, idx: np.ndarray) -> np.ndarray:
         """Per-symbol constellation digits (n, K) of codeword indices, first symbol most significant."""
@@ -826,24 +772,23 @@ class _Kernel:
         Per noise-weight group g with w_g = 1 / (1 + kappa sum_r |g_r|^2 d[r, g]),
         the metric is 2||r1||^2 - 4 Re<y1,r1> + sum_g w_g (2||r2_g||^2 - 4 Re<y2_g,r2_g>).
         """
-        layout = self.layout
         n, k = y1.shape
         c1 = pa.broadcast_amp
         c2 = c1 * pa.relay_gain
         # decoder believes the effective-channel model h = (g0, g_i f_i)
         hh = g * f
-        winv = 1.0 / (1.0 + pa.relay_gain_sq * (np.abs(g) ** 2 @ layout.noise_diag))  # (n, G)
-        t, r = layout.z_keep  # np.take keeps the gathers C-ordered, so their products view as float
+        winv = 1.0 / (1.0 + pa.relay_gain_sq * (np.abs(g) ** 2 @ self.noise_diag))  # (n, G)
+        t, r = self.z_keep  # np.take keeps the gathers C-ordered, so their products view as float
         z = np.conj(np.take(hh, r, axis=1)) * np.take(y2 * winv[:, self.slot_group], t, axis=1)
-        ea, eb = layout.outer_keep
+        ea, eb = self.outer_keep
         outer = np.conj(np.take(hh, ea, axis=1)) * np.take(hh, eb, axis=1)
         a1 = np.conj(g0)[:, None] * y1
-        psi = np.empty((n, layout.feature_width))
-        np.matmul(z.view(np.float64), layout.linear, out=psi[:, : 2 * k])
+        psi = np.empty((n, self.table.shape[1]))
+        np.matmul(z.view(np.float64), self.linear, out=psi[:, : 2 * k])
         psi[:, : 2 * k] *= -4.0 * c2
         psi[:, :k] -= (4.0 * c1) * a1.real
         psi[:, k : 2 * k] -= (4.0 * c1) * a1.imag
-        per_group = (outer.view(np.float64) @ layout.quadratic).reshape(n, len(layout.slot_groups), -1)
+        per_group = (outer.view(np.float64) @ self.quadratic).reshape(n, len(self.slot_groups), -1)
         np.einsum("ngp,ng->np", per_group, (2.0 * c2 * c2) * winv, out=psi[:, 2 * k :])
         psi[:, self.squares] += (2.0 * c1 * c1) * np.abs(g0)[:, None] ** 2
         return psi
@@ -871,7 +816,7 @@ class _Kernel:
         qb = rt @ sol  # (n, 2K, 2K + 1): the cooperation phase's Q, then its b
         a1 = np.conj(g0)[:, None] * y1
         b = np.concatenate([a1.real, a1.imag], axis=1) * (2.0 * c1) + qb[:, :, -1]
-        j, i = self.layout.monomials
+        j, i = self.monomials
         psi = np.empty((n, 2 * k + len(j)))
         np.multiply(b, -2.0, out=psi[:, : 2 * k])
         np.multiply(qb[:, j, i], np.where(j < i, 2.0, 1.0), out=psi[:, 2 * k :])
@@ -903,7 +848,7 @@ class _Kernel:
         )
         idx = rng.integers(0, self.L, n)
         cw = bits = 0
-        for lo, hi in _row_blocks(n, self.layout.block_rows):
+        for lo, hi in _row_blocks(n, self.block_rows):
             sent = idx[lo:hi]
             dec = self.decode_batch(pa, *self.simulate_batch(pa, rng, sent))
             wrong = dec != sent  # only these carry bit errors
@@ -1037,9 +982,9 @@ def monte_carlo_ber(cfg: SimConfig, telemetry: dict | None = None) -> list[BerPo
         for ci in range((trials + cfg.chunk - 1) // cfg.chunk)
     ]
     if telemetry is not None:
-        telemetry.update(kernel.layout.summary(), kernel_build_s=build_s, kernel_reused=reused)
+        telemetry.update(kernel.summary(), kernel_build_s=build_s, kernel_reused=reused)
         sizes = {n for _, _, n in jobs}
-        telemetry["block_rows"] = max(hi - lo for n in sizes for lo, hi in _row_blocks(n, kernel.layout.block_rows))
+        telemetry["block_rows"] = max(hi - lo for n in sizes for lo, hi in _row_blocks(n, kernel.block_rows))
 
     def job(spec):
         snr_idx, ci, n = spec

@@ -9,7 +9,9 @@ import pytest
 
 from dstc import cli, relay_channel_sim
 from dstc.cli import main
-from dstc.code_library import alamouti, load_bundle, to_bundle
+from dstc.code_library import alamouti, block_diagonal_extend, cuw_ssd, load_bundle, to_bundle
+from dstc.diversity_analyzer import Constellation
+from dstc.errors import ParameterError
 
 
 def run(args):
@@ -221,6 +223,23 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: 18446744073709551616 codewords") and err.count("\n") == 1
 
+    def test_codeword_index_is_refused_before_any_form(self, tmp_path, capsys):
+        # cuw4 x8: 4**32 codewords; its forms, which grow as K^2 T2 R^2, would take over a GB
+        args = ["simulate", "--family", "cuw4", "--blocks", "8", "--trials", "16", "--out", tmp_path / "x"]
+        start = time.perf_counter()
+        assert run(args) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == "error: 18446744073709551616 codewords do not fit a 64-bit codeword index\n"
+        code = block_diagonal_extend(cuw_ssd(4), 8)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match="64-bit codeword index"):
+                relay_channel_sim._Kernel(code, Constellation.qpsk(), partial_csi=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     def test_source_cooperation_power_exits_two_with_one_line(self, tmp_path, capsys):
         args = ["simulate", "--family", "alamouti", "--trials", "100", "--out", tmp_path / "x.csv"]
         assert run(args + ["--pi", "1,1,1"]) == 2
@@ -305,6 +324,39 @@ class TestConfigFile:
     def test_missing_config_is_usage_error(self, tmp_path):
         assert run(["--config", tmp_path / "none.json", "verify", "--family", "alamouti"]) == 2
 
+    @pytest.mark.parametrize(
+        "config, flags",
+        [
+            ({"snr_db": 5, "trials": 30}, ["--snr-db", "5", "--trials", "30"]),
+            ({"snr_db": [5, 10.5], "trials": [40, 20]}, ["--snr-db", "5,10.5", "--trials", "40,20"]),
+            ({"trials": 30, "out": None, "relays": None}, ["--trials", "30"]),  # null: the flag's default
+        ],
+        ids=["scalars", "lists", "nulls"],
+    )
+    def test_config_values_parse_as_their_flags(self, tmp_path, capsys, monkeypatch, config, flags):
+        # a config value means what its text means on the command line, a list joined with commas
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config | {"seed": 2}))
+        args = ["simulate", "--family", "alamouti"]
+        assert run(["--config", cfg, *args]) == 0
+        from_config = capsys.readouterr().out
+        assert run([*args, *flags, "--seed", "2"]) == 0
+        assert capsys.readouterr().out == from_config
+
+    @pytest.mark.parametrize(
+        "text, command",
+        [("[1, 2]", "simulate"), ('{"seed": "abc"}', "simulate"), ('{"full_csi_f": "yes"}', "simulate"),
+         ('{"group_size": 3}', "analyze")],
+        ids=["list", "seed-text", "flag-text", "group-size-choice"],
+    )  # fmt: skip
+    def test_bad_config_exits_two_with_one_line(self, tmp_path, capsys, text, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert run(["--config", cfg, command, "--family", "alamouti", "--out", tmp_path / "x"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config ") and err.count("\n") == 1
+
 
 class TestFlagsAndBadInput:
     @pytest.mark.parametrize(
@@ -335,3 +387,18 @@ class TestFlagsAndBadInput:
         assert run([*args, "--out", tmp_path / "x"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["analyze", "--bundle", "nope.json"],
+            ["construct", "--family", "alamouti", "--out", "missing/a.json"],
+            ["simulate", "--family", "alamouti", "--trials", "10", "--out", "missing/a.csv"],
+        ],
+        ids=["read-bundle", "write-bundle", "write-csv"],
+    )
+    def test_file_errors_exit_two_with_one_line(self, tmp_path, capsys, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "No such file or directory" in err and err.count("\n") == 1

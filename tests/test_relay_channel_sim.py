@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import sys
 import threading
 import time
@@ -40,7 +41,6 @@ from dstc.relay_channel_sim import (
     _monomial_table,
     _row_blocks,
     codebook_symbol_vectors,
-    decoder_layout,
     dstc_matrix,
     estimate_diversity,
     group_ml_decode,
@@ -429,7 +429,7 @@ def codeword_metrics(kernel, pa, batch):
     m = len(kernel.bitdist)  # the constellation size
     digits = kernel.symbol_digits(np.arange(kernel.L))
     out = np.zeros((len(per_candidate), kernel.L))
-    for grp, (lo, hi) in zip(kernel.layout.symbol_groups, kernel.spans):
+    for grp, (lo, hi) in zip(kernel.symbol_groups, kernel.spans):
         candidate = digits[:, list(grp)] @ (m ** np.arange(len(grp))[::-1])
         out += per_candidate[:, lo:hi][:, candidate]
     return out
@@ -465,7 +465,7 @@ class TestKernel:
     def test_diagonal_noise_path_matches_reference(self, code, groups):
         kernel, pa, batch = kernel_batch(code, 10.0, 150, seed=23)
         assert kernel.noise_path == "diagonal"
-        assert len(kernel.layout.slot_groups) == groups
+        assert len(kernel.slot_groups) == groups
         dec = kernel.decode_batch(pa, *batch)
         ref = reference_decisions(code, pa, batch)
         assert list(dec) == ref
@@ -480,7 +480,7 @@ class TestKernel:
         con = Constellation.qpsk()
         kernel, pa, batch = kernel_batch(code, 20.0, 300, seed=24)
         assert kernel.noise_path == "scalar"
-        assert kernel.layout.symbol_groups == tuple((m,) for m in range(code.K))
+        assert kernel.symbol_groups == tuple((m,) for m in range(code.K))
         old = np.argmin(old_scalar_phi(code, pa, *batch) @ old_scalar_table(code, con), axis=1)
         assert np.array_equal(kernel.decode_batch(pa, *batch), old)
         assert len(set(old.tolist())) > 1
@@ -500,10 +500,9 @@ class TestKernel:
         n = 4 * 75 + 1
         kernel = _Kernel(code, Constellation.qpsk(), partial_csi=True)
         pa = PowerAllocation.equal_split(code, 8.0)
-        layout = kernel.layout
         counts = []
         for rows in (n, 4, 13):
-            kernel.layout = dataclasses.replace(layout, block_rows=rows)
+            kernel.block_rows = rows
             counts.append([kernel.run_chunk(pa, 25, 0, chunk, n) for chunk in range(3)])
         assert counts[0] == counts[1] == counts[2]
         assert all(cw > 0 for cw, _ in counts[0])
@@ -527,7 +526,7 @@ class TestKernel:
         kernel = _Kernel(code, Constellation.qpsk(), partial_csi=True)
         assert kernel.noise_path == "general" and kernel.L == 64
         n = 8192
-        assert kernel.layout.block_rows < n
+        assert kernel.block_rows < n
         peak = run_chunk_peak(kernel, PowerAllocation.equal_split(code, 10.0), n)
         assert peak <= BLOCK_BYTES + 8 * n
 
@@ -538,22 +537,22 @@ class TestKernel:
             (cuw_ssd(8), "diagonal", 4, [list(range(6))]),
             (clifford_4x4(), "scalar", 1, [[0], [1], [2], [3]]),
         ):
-            layout = decoder_layout(code, Constellation.qpsk())
-            assert (layout.noise_path, len(layout.slot_groups)) == (path, groups)
-            summary = layout.summary()
+            kernel = _Kernel(code, Constellation.qpsk(), partial_csi=True)
+            assert (kernel.noise_path, len(kernel.slot_groups)) == (path, groups)
+            summary = kernel.summary()
             assert summary["noise_groups"] == groups and summary["codewords"] == 4**code.K
             assert summary["symbol_groups"] == symbols
             assert summary["decode_candidates"] == sum(4 ** len(g) for g in symbols)
             assert summary["block_rows"] >= 3
         kernel, _, _ = kernel_batch(square_cod(8), 10.0, 2, seed=27)
         table = kernel.table
-        assert table.shape == (kernel.L, kernel.layout.feature_width)
+        assert table.shape == (kernel.L, kernel.summary()["feature_width"])
         # the diagonal path keeps no monomial that is zero for every codeword
         assert np.all(np.any(table != 0, axis=0))
-        assert kernel.layout.feature_width < 8 + 36  # [x, x_j x_i]: 4 of the 36 products are never weighed
+        assert table.shape[1] < 8 + 36  # [x, x_j x_i]: 4 of the 36 products are never weighed
         # a decoupled code holds one table row per symbol value, none per codeword
         kernel, _, _ = kernel_batch(block_diagonal_extend(cuw_ssd(4), 2), 10.0, 2, seed=27)
-        assert kernel.L == 65536 and kernel.table.shape == (8 * 4, kernel.layout.feature_width)
+        assert kernel.L == 65536 and kernel.table.shape == (8 * 4, kernel.summary()["feature_width"])
 
     @pytest.mark.parametrize(
         "code, con",
@@ -563,9 +562,9 @@ class TestKernel:
     )
     def test_symbol_groups_decide_as_the_joint_table(self, code, con):
         kernel = _Kernel(code, con, partial_csi=True)
-        assert kernel.layout.symbol_groups == tuple((m,) for m in range(code.K))
+        assert kernel.symbol_groups == tuple((m,) for m in range(code.K))
         assert len(kernel.table) == code.K * con.size
-        joint = _monomial_table(codebook_symbol_vectors(code, con)[0], kernel.layout.monomials)
+        joint = _monomial_table(codebook_symbol_vectors(code, con)[0], kernel.monomials)
         n = 120 if kernel.L > 4096 else 400
         for p in (3.0, 30.0, 1000.0):
             _, pa, batch = kernel_batch(code, p, n, seed=29, kernel=kernel)
@@ -582,9 +581,10 @@ class TestKernel:
     )  # fmt: skip
     def test_monomial_width_of_built_in_families(self, code, width):
         # the table's columns: the 2K real symbols, then the products x_j x_i that some trial weighs
-        layout = decoder_layout(code, Constellation.qpsk())
-        j, i = layout.monomials
-        assert layout.feature_width == width and layout.quadratic.shape[1] == len(layout.slot_groups) * len(j)
+        kernel = _Kernel(code, Constellation.qpsk(), partial_csi=True)
+        j, i = kernel.monomials
+        assert kernel.summary()["feature_width"] == width
+        assert kernel.quadratic.shape[1] == len(kernel.slot_groups) * len(j)
         assert width == 2 * code.K + len(j) and np.all(j <= i) and len(set(zip(j, i))) == len(j)
         assert np.array_equal(j[j == i], np.arange(2 * code.K))  # every square: ||s||^2 weighs them all
 
@@ -604,13 +604,13 @@ class TestKernel:
             assert per_codeword == [] and len(kernel.table) == code.K * 4
         idx = np.arange(kernel.L)
         assert np.array_equal(kernel.symbol_digits(idx), codebook_symbol_vectors(code, Constellation.qpsk())[1])
-        assert kernel.nbytes <= kernel.layout.kernel_bytes
+        assert kernel.nbytes <= kernel.kernel_bytes
 
     @pytest.mark.parametrize("code", COUPLED_CODES, ids=lambda c: c.name)
     def test_coupled_codes_are_refused_by_the_oracle(self, code):
         # one joint group: the per-symbol partition is not ML for these codes under relay noise
         con = Constellation.qpsk()
-        assert decoder_layout(code, con).symbol_groups == (tuple(range(code.K)),)
+        assert _Kernel(code, con, partial_csi=True).symbol_groups == (tuple(range(code.K)),)
         pa = PowerAllocation.equal_split(code, 10.0)
         sym, _, scale = codebook_symbol_vectors(code, con)
         groups = tuple((2 * m, 2 * m + 1) for m in range(code.K))
@@ -624,21 +624,21 @@ class TestKernel:
 
     def test_oversized_codebook_is_refused_before_allocating(self, monkeypatch):
         code, qam16 = cuw_ssd(8), Constellation.qam16()
-        layout = decoder_layout(code, qam16)
-        assert layout.codewords == 16**6 and layout.kernel_bytes > 8 * 78 * 16**6  # more than the 9.8 GiB table
         tracemalloc.start()
         start = time.perf_counter()
         try:
-            with pytest.raises(ParameterError, match="16777216 codewords need about"):
+            with pytest.raises(ParameterError, match="16777216 codewords need about") as refusal:
                 _Kernel(code, qam16, partial_csi=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the layout's forms only: a six-hundredth of the 9.8 GiB the table alone would take
+        # the forms only: a six-hundredth of the 9.8 GiB the table alone would take
         assert peak < 16 * 2**20 and time.perf_counter() - start < 5.0
+        estimate = float(re.search(r"need about ([0-9.]+) GiB", str(refusal.value)).group(1))
+        assert estimate * 2**30 > 8 * 78 * 16**6  # more than the 9.8 GiB table
         # the bound is half of the machine's memory
         kernel = _Kernel(square_cod(8), Constellation.qpsk(), partial_csi=True)
-        need = kernel.layout.kernel_bytes
+        need = kernel.kernel_bytes
         assert need >= kernel.nbytes
         monkeypatch.setattr(relay_channel_sim, "_physical_memory", lambda: 2 * need - 2)
         with pytest.raises(ParameterError, match="256 codewords"):
@@ -653,7 +653,7 @@ class TestKernel:
         code = LinearDispersionCode(wi, wq, name="mixed")
         kernel, pa, batch = kernel_batch(code, 12.0, 150, seed=22)
         assert kernel.noise_path == "general"
-        assert decoder_layout(code, Constellation.qpsk()).feature_width is None
+        assert kernel.summary()["feature_width"] is None
         dec = kernel.decode_batch(pa, *batch)
         assert list(dec) == reference_decisions(code, pa, batch)
 
