@@ -88,6 +88,11 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _bundle_sha256(code: lib.LinearDispersionCode) -> str:
+    """The sha256 of the code's bundle file as ``save_bundle`` writes it."""
+    return _sha256(lib.bundle_text(code).encode())
+
+
 def _write_manifest(
     path: str, command: str, config: dict, started: float, hashes: dict, extra: dict | None = None
 ) -> None:
@@ -138,6 +143,15 @@ def _manifest_path(args, default_stem: str) -> str:
         return args.manifest
     return f"{args.out}.manifest.json" if args.out else f"{default_stem}.manifest.json"
 
+
+def _check_writable(*paths) -> None:
+    """Raise the OSError that writing each given path would raise, leaving no file that was not there."""
+    for path in filter(None, paths):
+        existed = os.path.exists(path)
+        open(path, "a").close()  # appends nothing: an existing file keeps its bytes
+        if not existed:
+            os.remove(path)
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -146,9 +160,7 @@ def _manifest_path(args, default_stem: str) -> str:
 def cmd_construct(args) -> int:
     code = make_code(args.family, args.bundle, args.blocks)
     out = args.out or f"{code.name}.json"
-    lib.save_bundle(code, out)
-    with open(out, "rb") as fh:
-        digest = _sha256(fh.read())
+    digest = _sha256(lib.save_bundle(code, out).encode())
     print(f"wrote {out} (T={code.T}, N={code.N}, K={code.K}, sha256={digest[:16]})")
     if args.manifest:
         _write_manifest(args.manifest, "construct", vars(args) | {"out": str(out)}, args.started, {"bundle": digest})
@@ -160,15 +172,14 @@ def cmd_verify(args) -> int:
     expect_cuw = args.family in _CUW_FAMILIES and args.blocks == 1
     report = verify_code(code, tol_diag=args.tol_diag, expect_cuw=expect_cuw)
     doc = report.to_dict()
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
-    if args.manifest:
-        _write_manifest(
-            args.manifest, "verify", vars(args), args.started, {"bundle": _sha256(text.encode())}
-        )
+            fh.write(text)
+    print(text, end="")
+    if args.manifest:  # the report's hash is that of the --out file
+        hashes = {"bundle": _bundle_sha256(code), "report": _sha256(text.encode())}
+        _write_manifest(args.manifest, "verify", vars(args), args.started, hashes)
     if not report.ok:
         for line in report.failures():
             print(f"FAIL: {line}", file=sys.stderr)
@@ -207,27 +218,23 @@ def cmd_analyze(args) -> int:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     print(text)
-    _write_manifest(
-        _manifest_path(args, "analyze"),
-        "analyze",
-        vars(args),
-        args.started,
-        {"bundle": _sha256(json.dumps(lib.to_bundle(code), sort_keys=True).encode()), "rotation": rotation_hash},
-    )
+    hashes = {"bundle": _bundle_sha256(code), "rotation": rotation_hash}
+    _write_manifest(_manifest_path(args, "analyze"), "analyze", vars(args), args.started, hashes)
     return 0
 
 
 def cmd_simulate(args) -> int:
+    manifest = _manifest_path(args, "simulate")
+    _check_writable(args.out, manifest)
     code = make_code(args.family, args.bundle, args.blocks, warn=True)
     if args.relays is not None and args.relays != code.N:
         raise ParameterError(f"family {code.name!r} uses {code.N} relays, not {args.relays}")
     con = constellation_by_name(args.constellation)
-    trials = args.trials if len(args.trials) > 1 else args.trials * len(args.snr_db)
     cfg = SimConfig(
         code=code,
         constellation=con,
         snr_db=tuple(args.snr_db),
-        trials=tuple(trials),
+        trials=tuple(args.trials),
         seed=args.seed,
         pi=tuple(args.pi) if args.pi else None,
         partial_csi=not args.full_csi_f,
@@ -249,17 +256,9 @@ def cmd_simulate(args) -> int:
             fh.write(text)
     else:
         print(text, end="")
-    _write_manifest(
-        _manifest_path(args, "simulate"),
-        "simulate",
-        vars(args),
-        args.started,
-        {
-            "bundle": _sha256(json.dumps(lib.to_bundle(code), sort_keys=True).encode()),
-            "csv": _sha256(text.encode()),
-        },
-        {"decoder": decoder, "snr_points": snr_points, **_process_record()},
-    )
+    hashes = {"bundle": _bundle_sha256(code), "csv": _sha256(text.encode())}
+    extra = {"decoder": decoder, "snr_points": snr_points, **_process_record()}
+    _write_manifest(manifest, "simulate", vars(args), args.started, hashes, extra)
     return 0
 
 
@@ -276,6 +275,8 @@ def cmd_dmg(args) -> int:
         raise ParameterError(f"--threads must be positive, got {args.threads}")
     if args.relays < 1:
         raise ParameterError(f"--relays must be positive, got {args.relays}")
+    manifest = _manifest_path(args, "dmg")
+    _check_writable(args.out, manifest)
 
     def ks(k, rho):
         a = channel_stat_samples(args.relays, rho, args.samples, True, args.seed + 2 * k).values
@@ -316,13 +317,7 @@ def cmd_dmg(args) -> int:
             fh.write(text)
     else:
         print(text, end="")
-    _write_manifest(
-        _manifest_path(args, "dmg"),
-        "dmg",
-        vars(args),
-        args.started,
-        {"csv": _sha256(text.encode())},
-    )
+    _write_manifest(manifest, "dmg", vars(args), args.started, {"csv": _sha256(text.encode())})
     return 0
 
 

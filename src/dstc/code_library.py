@@ -91,9 +91,6 @@ class LinearDispersionCode:
             raise DimensionError(f"expected {2 * self.K} real symbols, got shape {r.shape}")
         return np.einsum("k,ktn->tn", r, self.real_weights())
 
-    def all_weights_unitary(self, tol: float = 1e-9) -> bool:
-        return all(is_unitary(w, tol) for w in (*self.weights_i, *self.weights_q))
-
 
 @dataclass(frozen=True)
 class RelayMatrixPair:
@@ -435,10 +432,17 @@ def from_bundle(bundle: dict) -> LinearDispersionCode:
     return LinearDispersionCode(wi, wq, name=str(bundle.get("name", "bundle")))
 
 
-def save_bundle(code: LinearDispersionCode, path) -> None:
+def bundle_text(code: LinearDispersionCode) -> str:
+    """The text ``save_bundle`` writes: the bundle as indented JSON with sorted keys."""
+    return json.dumps(to_bundle(code), indent=2, sort_keys=True) + "\n"
+
+
+def save_bundle(code: LinearDispersionCode, path) -> str:
+    """Write the code's bundle to ``path`` and return the text written."""
+    text = bundle_text(code)
     with open(path, "w") as fh:
-        json.dump(to_bundle(code), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
+    return text
 
 
 def load_bundle(path) -> LinearDispersionCode:

@@ -182,27 +182,28 @@ def _validate(code: LinearDispersionCode, ch: ChannelRealization, pa: PowerAlloc
         raise DimensionError(f"channel has {ch.n_relays} relays, code has {code.N}")
 
 
+def _cooperation_covariance(zz: np.ndarray, g: np.ndarray, gain_sq: float) -> np.ndarray:
+    """Covariance (..., 2T2, 2T2) of the stacked w2 plus forwarded noise under relay gains g (..., R).
+
+    ``zz`` stacks each relay's Gram Z Z^T. g = a + ib turns the relay's noise
+    as aI + bJ, J the real form of i, so it adds in proportion to
+    (aI + bJ) ZZ^T (aI + bJ)^T = a^2 ZZ^T + ab (J ZZ^T - ZZ^T J) - b^2 J ZZ^T J.
+    """
+    t2 = zz.shape[-1] // 2
+    jt = np.block([[np.zeros((t2, t2)), -np.eye(t2)], [np.eye(t2), np.zeros((t2, t2))]])
+    terms = np.stack([zz, jt @ zz - zz @ jt, -(jt @ zz @ jt)], axis=1)  # (R, 3, 2T2, 2T2)
+    coeff = np.stack([g.real * g.real, g.real * g.imag, g.imag * g.imag], axis=-1)  # (..., R, 3)
+    return 0.5 * np.eye(2 * t2) + (0.5 * gain_sq) * np.tensordot(coeff, terms, axes=([-2, -1], [0, 1]))
+
+
 def noise_covariance_real(code: LinearDispersionCode, ch: ChannelRealization, pa: PowerAllocation) -> np.ndarray:
     """Covariance of the stacked [Re W; Im W] noise vector (exact, improper-safe)."""
     _validate(code, ch, pa)
-    t1, t2 = pa.t1, pa.t2
-    t = t1 + t2
-    cov = np.zeros((2 * t, 2 * t))
-    for j in range(t1):  # broadcast noise CN(0, I): each real part has variance 1/2
-        cov[j, j] = 0.5
-        cov[t + j, t + j] = 0.5
-    coop = 0.5 * np.eye(2 * t2)
-    jtilde = np.block(
-        [[np.zeros((t2, t2)), -np.eye(t2)], [np.eye(t2), np.zeros((t2, t2))]]
-    )
-    for gi, pair in zip(ch.g, scaled_relay_pairs(code)):
-        z = dispersion_matrix(pair)
-        m = z @ z.T
-        a, b = gi.real, gi.imag
-        gm = a * a * m + a * b * (jtilde @ m - m @ jtilde) - b * b * (jtilde @ m @ jtilde)
-        coop += 0.5 * pa.relay_gain_sq * gm
+    t1, t = pa.t1, pa.t1 + pa.t2
+    cov = 0.5 * np.eye(2 * t)  # broadcast noise CN(0, I): each real part has variance 1/2
+    zz = np.stack([z @ z.T for z in map(dispersion_matrix, scaled_relay_pairs(code))])
     idx = np.concatenate([np.arange(t1, t), np.arange(t + t1, 2 * t)])
-    cov[np.ix_(idx, idx)] = coop
+    cov[np.ix_(idx, idx)] = _cooperation_covariance(zz, np.asarray(ch.g), pa.relay_gain_sq)
     return cov
 
 
@@ -503,35 +504,41 @@ def _diagonal_forms(a: np.ndarray, b: np.ndarray, groups) -> tuple:
 
     ``a``, ``b`` stack (A_r, B_r). The relay columns are linear in the real
     symbols x = (Re s, Im s), C_t = sum_j x_j M_jt, so with h = g f the
-    cooperation phase's cross term Re sum_t w_g(t) conj(h^T C_t) y2_t is
-    linear in x, weighing the products z_tr = conj(h_r) w_g(t) y2_t, and
-    each group's energy sum_{t in g} |h^T C_t|^2 is quadratic in x,
-    weighing the products conj(h_a) h_b (a <= b, the rest being their
-    conjugates). ``linear`` maps the (Re, Im)-interleaved products z of the
-    pairs (t, r) in ``z_keep`` onto x; ``quadratic`` maps those of the pairs
-    (a, b) in ``outer_keep`` onto each slot group's quadratic monomials
-    x_j x_i, group after group. Products and monomials that no form weighs
+    cooperation phase's cross term Re sum_t w(t) conj(h^T C_t) y2_t is
+    linear in x, weighing the products z_tr = conj(h_r) w(t) y2_t, and
+    each slot group's energy w_g sum_{t in g} |h^T C_t|^2 is quadratic in
+    x, weighing the products w_g conj(h_a) h_b (a <= b among the relays the
+    group's slots hear, the rest being their conjugates). ``linear`` maps
+    the (Re, Im)-interleaved products z of the pairs (t, r) in ``z_keep``
+    onto x; ``quadratic`` maps the pre-weighed products of the terms
+    (group, a, b) in ``outer_keep``, each group named by its first slot,
+    onto the monomials x_j x_i. Products and monomials that no form weighs
     are left out; the squares are always kept, as ||s||^2 weighs them all.
     """
-    r, t2, k = a.shape
+    k = a.shape[2]
     m = _symbol_responses(a, b)
     zt, zr = np.nonzero(np.any(m != 0, axis=0))
     linear = np.ascontiguousarray(m[:, zt, zr]).view(np.float64).T.copy()  # (2 Z, 2K): Re, Im of conj(M) z
     # x_j x_i (j <= i) weighs sum_t conj(M_jta) M_itb + conj(M_ita) M_jtb (once when j == i)
     j, i = np.triu_indices(2 * k)
-    ea, eb = np.triu_indices(r)
-    w = np.empty((len(j), len(groups), len(ea)), dtype=complex)  # (P, G, E)
-    for g, slots in enumerate(groups):
+    terms, weights = [], []
+    for slots in groups:
         mg = m[:, list(slots)]
-        full = np.einsum("jta,itb->jiab", np.conj(mg), mg)[:, :, ea, eb]  # (2K, 2K, E): sums over the group's slots
-        w[:, g] = full[j, i] + (j < i)[:, None] * full[i, j]
-    w *= np.where(ea < eb, 2.0, 1.0)  # conj(h_b) h_a weighs the conjugate of the same term
-    used = np.any(w != 0, axis=(1, 2)) | (j == i)
-    outer = np.any(w != 0, axis=(0, 1))
-    # Re(o w) = Re o Re w - Im o Im w, o = conj(h_a) h_b interleaved (Re, Im)
-    quadratic = np.stack([w.real, -w.imag], axis=3)[used][:, :, outer].transpose(2, 3, 1, 0)
-    quadratic = np.ascontiguousarray(quadratic.reshape(2 * np.count_nonzero(outer), -1))  # (2 E, G P)
-    return (zt, zr), linear, (ea[outer], eb[outer]), quadratic, (j[used], i[used])
+        heard = np.flatnonzero(np.any(mg != 0, axis=(0, 1)))
+        mg = mg[:, :, heard]
+        ea, eb = np.triu_indices(len(heard))
+        full = np.einsum("jta,itb->abji", np.conj(mg), mg)[ea, eb]  # (E_g, 2K, 2K): sums over the group's slots
+        # (E_g, P); conj(h_b) h_a weighs the conjugate of the same term, so a < b counts twice
+        w = (full[:, j, i] + (j < i) * full[:, i, j]) * np.where(ea < eb, 2.0, 1.0)[:, None]
+        kept = np.any(w != 0, axis=1)
+        terms.append((np.full(np.count_nonzero(kept), slots[0]), heard[ea[kept]], heard[eb[kept]]))
+        weights.append(w[kept])
+    w = np.concatenate(weights)  # (F, P)
+    used = np.any(w != 0, axis=0) | (j == i)
+    # Re(o w) = Re o Re w - Im o Im w, o = w_g conj(h_a) h_b interleaved (Re, Im)
+    quadratic = np.stack([w.real, -w.imag], axis=1).reshape(2 * len(w), -1)[:, used]  # (2 F, P')
+    outer_keep = tuple(np.concatenate(part) for part in zip(*terms))
+    return (zt, zr), linear, outer_keep, quadratic, (j[used], i[used])
 
 
 def _symbol_groups(monomials: tuple, k: int) -> tuple[tuple[int, ...], ...]:
@@ -603,9 +610,10 @@ class _Kernel:
     diagonal (one group under ``scalar``). psi then comes from two fixed
     GEMMs (see ``_diagonal_forms``): ``linear`` maps the trial's products of
     channel and received signal onto x, ``quadratic`` maps its channel
-    products onto each slot group's monomials, weighed per trial by the
-    group's noise weight. Monomials with a zero coefficient for every
-    channel are left out. The improper ``general`` path solves each trial's
+    products, each pre-weighed by its slot group's noise weight, onto the
+    monomials. Each group's terms pair only the relays its slots hear, so
+    set-up scales with the terms kept. Monomials with a zero coefficient for
+    every channel are left out. The improper ``general`` path solves each trial's
     own real covariance for b and Q and keeps every monomial.
 
     A chunk runs draw, synthesis, decoding and counting in row blocks of at
@@ -646,28 +654,24 @@ class _Kernel:
             # per trial: the responses, covariance, solve operands and Q
             row_bytes += 48 * k * t2 + 24 * d * (d + 2 * k + 1) + 32 * k * k
             fixed += 24 * r * d * d + 32 * k * t2 * r
-            jt = np.block([[np.zeros((t2, t2)), -np.eye(t2)], [np.eye(t2), np.zeros((t2, t2))]])
-            # per relay, the covariance terms weighed by Re g^2, Re g Im g and Im g^2
-            self.gen_mats = np.stack([np.stack([z, jt @ z - z @ jt, -(jt @ z @ jt)]) for z in zz])
+            self.gen_zz = zz
             # the cooperation response of Re s_j and Im s_j per unit relay gain: (R, 2K T2)
             self.gen_resp = np.ascontiguousarray(_symbol_responses(a, b).reshape(2 * k * t2, r).T)
         else:
             # each slot joins the group of the first slot with the same diagonal
             first = np.argmax(np.max(np.abs(d_re[:, :, None] - d_re[:, None, :]), axis=0) <= _NOISE_TOL, axis=0)
-            leaders = sorted(set(first.tolist()))
-            self.slot_groups = tuple(tuple(np.flatnonzero(first == t).tolist()) for t in leaders)
-            self.noise_path = "scalar" if len(leaders) == 1 else "diagonal"
-            self.noise_diag = np.ascontiguousarray(d_re[:, leaders])  # (R, G): per-relay noise diagonal of each group
+            self.slot_groups = tuple(tuple(np.flatnonzero(first == t).tolist()) for t in sorted(set(first.tolist())))
+            self.noise_path = "scalar" if len(self.slot_groups) == 1 else "diagonal"
+            self.noise_diag = np.ascontiguousarray(d_re[:, first])  # (R, T2): each slot's group-leader diagonal
             # z_keep (t, r): the slot and relay of each product conj(h_r) y2_t weighed, linear (2 Z, 2K) those
-            # products onto x; outer_keep (a, b): the relay pairs of each product conj(h_a) h_b weighed,
-            # quadratic (2 E, G P) those products onto each group's monomials
+            # products onto x; outer_keep (t, a, b): the group leader and relay pair of each product
+            # conj(h_a) h_b weighed, quadratic (2 F, P) those products, pre-weighed, onto the monomials
             self.z_keep, self.linear, self.outer_keep, self.quadratic, self.monomials = _diagonal_forms(
                 a, b, self.slot_groups
             )
             self.symbol_groups = _symbol_groups(self.monomials, k)
-            # per trial: the products and their gathers and each group's monomial coefficients
-            row_bytes += 48 * (len(self.z_keep[0]) + len(self.outer_keep[0]) + t2) + 16 * self.quadratic.shape[1]
-            row_bytes += 32 * (k + 2 * r)
+            # per trial: the noise weights, the products and their gathers and their weights
+            row_bytes += 48 * (len(self.z_keep[0]) + t2) + 64 * len(self.outer_keep[0]) + 32 * (k + 2 * r)
             fixed += self.linear.nbytes + self.quadratic.nbytes
         j, i = self.monomials
         width = 2 * k + len(j)
@@ -686,9 +690,6 @@ class _Kernel:
         self.points = _symbol_scale(code, con) * np.asarray(con.points)
         self.place = m ** np.arange(k - 1, -1, -1)  # each symbol's digit weight in the index
         self.squares = 2 * k + np.flatnonzero(j == i)  # psi's columns of the monomials x_j^2
-        self.slot_group = np.zeros(t2, dtype=np.intp)  # each cooperation slot's noise-weight group
-        for grp, slots in enumerate(self.slot_groups):
-            self.slot_group[list(slots)] = grp
         self.bits_per_symbol = con.bits_per_symbol
         labels = con.bit_labels
         self.bitdist = np.array(
@@ -770,26 +771,27 @@ class _Kernel:
         """psi of the proper noise paths, from the trial's products through the two fixed GEMMs.
 
         Per noise-weight group g with w_g = 1 / (1 + kappa sum_r |g_r|^2 d[r, g]),
-        the metric is 2||r1||^2 - 4 Re<y1,r1> + sum_g w_g (2||r2_g||^2 - 4 Re<y2_g,r2_g>).
+        the metric is 2||r1||^2 - 4 Re<y1,r1> + sum_g w_g (2||r2_g||^2 - 4 Re<y2_g,r2_g>);
+        each slot takes its group's weight.
         """
         n, k = y1.shape
         c1 = pa.broadcast_amp
         c2 = c1 * pa.relay_gain
         # decoder believes the effective-channel model h = (g0, g_i f_i)
         hh = g * f
-        winv = 1.0 / (1.0 + pa.relay_gain_sq * (np.abs(g) ** 2 @ self.noise_diag))  # (n, G)
+        winv = 1.0 / (1.0 + pa.relay_gain_sq * (np.abs(g) ** 2 @ self.noise_diag))  # (n, T2)
         t, r = self.z_keep  # np.take keeps the gathers C-ordered, so their products view as float
-        z = np.conj(np.take(hh, r, axis=1)) * np.take(y2 * winv[:, self.slot_group], t, axis=1)
-        ea, eb = self.outer_keep
+        z = np.conj(np.take(hh, r, axis=1)) * np.take(y2 * winv, t, axis=1)
+        lead, ea, eb = self.outer_keep
         outer = np.conj(np.take(hh, ea, axis=1)) * np.take(hh, eb, axis=1)
+        outer *= (2.0 * c2 * c2) * np.take(winv, lead, axis=1)
         a1 = np.conj(g0)[:, None] * y1
         psi = np.empty((n, self.table.shape[1]))
         np.matmul(z.view(np.float64), self.linear, out=psi[:, : 2 * k])
         psi[:, : 2 * k] *= -4.0 * c2
         psi[:, :k] -= (4.0 * c1) * a1.real
         psi[:, k : 2 * k] -= (4.0 * c1) * a1.imag
-        per_group = (outer.view(np.float64) @ self.quadratic).reshape(n, len(self.slot_groups), -1)
-        np.einsum("ngp,ng->np", per_group, (2.0 * c2 * c2) * winv, out=psi[:, 2 * k :])
+        np.matmul(outer.view(np.float64), self.quadratic, out=psi[:, 2 * k :])
         psi[:, self.squares] += (2.0 * c1 * c1) * np.abs(g0)[:, None] ** 2
         return psi
 
@@ -806,11 +808,7 @@ class _Kernel:
         c2 = c1 * pa.relay_gain
         resp = ((g * f) @ self.gen_resp).reshape(n, 2 * k, self.t2)  # decoder model h = g f
         rt = c2 * np.concatenate([resp.real, resp.imag], axis=2)  # (n, 2K, 2T2): R^T
-        ga, gb = g.real, g.imag
-        coeff = np.stack([ga * ga, ga * gb, gb * gb], axis=2)  # (n, R, 3)
-        cov = 0.5 * np.eye(2 * self.t2) + (0.5 * pa.relay_gain_sq) * np.tensordot(
-            coeff, self.gen_mats, axes=([1, 2], [0, 1])
-        )
+        cov = _cooperation_covariance(self.gen_zz, g, pa.relay_gain_sq)
         y2r = np.concatenate([y2.real, y2.imag], axis=1)
         sol = np.linalg.solve(cov, np.concatenate([rt, y2r[:, None, :]], axis=1).transpose(0, 2, 1))
         qb = rt @ sol  # (n, 2K, 2K + 1): the cooperation phase's Q, then its b

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import platform
 import time
@@ -37,6 +38,22 @@ class TestConstructAndBundles:
         out = tmp_path / "big.json"
         assert run(["construct", "--family", "cuw4", "--blocks", 2, "--out", out]) == 0
         assert load_bundle(out).N == 8
+
+    def test_every_manifest_hashes_the_bundle_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        bundle = tmp_path / "alamouti.json"
+        assert run(["construct", "--family", "alamouti", "--out", bundle, "--manifest", "construct.json"]) == 0
+        digest = hashlib.sha256(bundle.read_bytes()).hexdigest()
+        assert f"sha256={digest[:16]}" in capsys.readouterr().out
+        assert run(["verify", "--family", "alamouti", "--manifest", "verify.json"]) == 0
+        report = capsys.readouterr().out
+        assert run(["analyze", "--family", "alamouti", "--constellation", "bpsk", "--manifest", "analyze.json"]) == 0
+        sim = ["simulate", "--family", "alamouti", "--snr-db", "10", "--trials", "100", "--manifest", "simulate.json"]
+        assert run(sim) == 0
+        hashes = {c: json.loads((tmp_path / f"{c}.json").read_text())["content_hashes"]
+                  for c in ("construct", "verify", "analyze", "simulate")}  # fmt: skip
+        assert {h["bundle"] for h in hashes.values()} == {digest}
+        assert hashes["verify"]["report"] == hashlib.sha256(report.encode()).hexdigest()
 
 
 class TestVerify:
@@ -394,11 +411,36 @@ class TestFlagsAndBadInput:
             ["analyze", "--bundle", "nope.json"],
             ["construct", "--family", "alamouti", "--out", "missing/a.json"],
             ["simulate", "--family", "alamouti", "--trials", "10", "--out", "missing/a.csv"],
+            ["simulate", "--family", "alamouti", "--trials", "10", "--manifest", "missing/m.json"],
+            ["dmg", "--samples", "100", "--out", "missing/a.csv"],
         ],
-        ids=["read-bundle", "write-bundle", "write-csv"],
+        ids=["read-bundle", "write-bundle", "write-csv", "write-manifest", "dmg-write-csv"],
     )
     def test_file_errors_exit_two_with_one_line(self, tmp_path, capsys, monkeypatch, args):
         monkeypatch.chdir(tmp_path)
         assert run(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "No such file or directory" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "--family", "cod8", "--trials", "200000", "--snr-db", "10", "--out", "missing/a.csv"],
+            ["simulate", "--family", "cod8", "--trials", "200000", "--snr-db", "10", "--manifest", "missing/m.json"],
+            ["dmg", "--samples", "1000000", "--out", "missing/a.csv"],
+            ["dmg", "--samples", "1000000", "--manifest", "missing/m.json"],
+        ],
+        ids=["simulate-csv", "simulate-manifest", "dmg-csv", "dmg-manifest"],
+    )
+    def test_output_paths_are_checked_before_any_trial(self, tmp_path, capsys, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        ran = []
+        monkeypatch.setattr(cli, "monte_carlo_ber", lambda *a, **k: ran.append("monte_carlo_ber"))
+        monkeypatch.setattr(cli, "channel_stat_samples", lambda *a, **k: ran.append("channel_stat_samples"))
+        assert run(args) == 2
+        captured = capsys.readouterr()
+        assert ran == [] and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        # a run refused for another reason leaves no file behind
+        assert run(["simulate", "--family", "alamouti", "--relays", 4, "--out", "x.csv"]) == 2
+        assert list(tmp_path.iterdir()) == []

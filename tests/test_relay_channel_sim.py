@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dstc import relay_channel_sim
+from dstc.cli import _FAMILIES as FAMILIES
 from dstc.code_library import (
     LinearDispersionCode,
     alamouti,
@@ -446,7 +447,35 @@ def run_chunk_peak(kernel, pa, n):
         tracemalloc.stop()
 
 
+class ChannelsOnly:
+    """A generator stand-in whose normal blocks carry only the channels: the w1, v and w2 columns are 0."""
+
+    def __init__(self, seed: int, n_relays: int):
+        self.rng = np.random.default_rng(seed)
+        self.channel_cols = 2 * (1 + 2 * n_relays)  # (Re, Im) of g0, g and f lead each row
+
+    def standard_normal(self, shape):
+        block = self.rng.standard_normal(shape)
+        block[:, self.channel_cols :] = 0.0
+        return block
+
+
 class TestKernel:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_synthesis_is_the_signal_model(self, family):
+        # noiseless, each trial's (y1, y2) is combined_scale * S h with h = (g0, g f); full CSI is left out,
+        # as there B != 0 makes the channel differ from the decoder's model h = g f
+        code, con = FAMILIES[family](), Constellation.qpsk()
+        kernel = _Kernel(code, con, partial_csi=True)
+        pa = PowerAllocation.equal_split(code, 10.0)
+        idx = np.random.default_rng(40).integers(0, kernel.L, 64)
+        g0, g, f, y1, y2 = kernel.simulate_batch(pa, ChannelsOnly(41, code.N), idx)
+        sym = codebook_symbol_vectors(code, con)[0][idx]
+        for n in range(len(idx)):
+            want = pa.combined_scale * dstc_matrix(code, sym[n], pa) @ np.concatenate([[g0[n]], g[n] * f[n]])
+            got = np.concatenate([y1[n], y2[n]])
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
     @pytest.mark.parametrize(
         "code",
         [alamouti(), repetition_control(), clifford_4x4()],
@@ -584,7 +613,9 @@ class TestKernel:
         kernel = _Kernel(code, Constellation.qpsk(), partial_csi=True)
         j, i = kernel.monomials
         assert kernel.summary()["feature_width"] == width
-        assert kernel.quadratic.shape[1] == len(kernel.slot_groups) * len(j)
+        # one GEMM row pair per kept (slot group, a, b) term, one column per quadratic monomial
+        assert kernel.quadratic.shape == (2 * len(kernel.outer_keep[0]), len(j))
+        assert set(kernel.outer_keep[0].tolist()) == {slots[0] for slots in kernel.slot_groups}
         assert width == 2 * code.K + len(j) and np.all(j <= i) and len(set(zip(j, i))) == len(j)
         assert np.array_equal(j[j == i], np.arange(2 * code.K))  # every square: ||s||^2 weighs them all
 
@@ -645,6 +676,23 @@ class TestKernel:
             _Kernel(square_cod(8), Constellation.qpsk(), partial_csi=True)
         monkeypatch.setattr(relay_channel_sim, "_physical_memory", lambda: 2 * need)
         _Kernel(square_cod(8), Constellation.qpsk(), partial_csi=True)
+
+    def test_block_diagonal_set_up_scales_with_the_terms_kept(self):
+        # cuw4 x8: 8 slot groups, each hearing 4 of the 32 relays; a dense (monomial, group, relay pair)
+        # weight tensor took 372 MB and 2 s on a 2-vCPU machine
+        code = block_diagonal_extend(cuw_ssd(4), 8)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            kernel = _Kernel(code, Constellation.bpsk(), partial_csi=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0 and peak <= 32 * 2**20
+        assert kernel.noise_path == "diagonal" and len(kernel.slot_groups) == 8
+        lead, ea, eb = kernel.outer_keep
+        # each group's terms pair only the relays of its own block
+        assert np.array_equal(ea // 4, eb // 4) and np.array_equal(ea // 4, lead // 4)
 
     def test_general_noise_path_matches_reference(self):
         # mixed conjugation forces the full real-covariance whitening path
