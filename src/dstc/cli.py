@@ -160,6 +160,7 @@ def _check_writable(*paths) -> None:
 def cmd_construct(args) -> int:
     code = make_code(args.family, args.bundle, args.blocks)
     out = args.out or f"{code.name}.json"
+    _check_writable(out, args.manifest)
     digest = _sha256(lib.save_bundle(code, out).encode())
     print(f"wrote {out} (T={code.T}, N={code.N}, K={code.K}, sha256={digest[:16]})")
     if args.manifest:
@@ -168,6 +169,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_writable(args.out, args.manifest)
     code = make_code(args.family, args.bundle, args.blocks)
     expect_cuw = args.family in _CUW_FAMILIES and args.blocks == 1
     report = verify_code(code, tol_diag=args.tol_diag, expect_cuw=expect_cuw)
@@ -188,6 +190,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    manifest = _manifest_path(args, "analyze")
+    _check_writable(args.out, manifest)
     code = make_code(args.family, args.bundle, args.blocks, warn=True)
     rotation_hash = None
     if args.rotate:
@@ -219,7 +223,7 @@ def cmd_analyze(args) -> int:
             fh.write(text + "\n")
     print(text)
     hashes = {"bundle": _bundle_sha256(code), "rotation": rotation_hash}
-    _write_manifest(_manifest_path(args, "analyze"), "analyze", vars(args), args.started, hashes)
+    _write_manifest(manifest, "analyze", vars(args), args.started, hashes)
     return 0
 
 

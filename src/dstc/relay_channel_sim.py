@@ -248,21 +248,24 @@ def simulate_transmission(
     return ReceivedSignal(y1=y1, y2=y2, cov_real=noise_covariance_real(code, ch, pa))
 
 
+def _relay_columns(pairs, s: np.ndarray) -> np.ndarray:
+    """Every relay's column A_i s + B_i s* for source vectors s (..., K): (..., T2, R)."""
+    return np.stack([s @ pair.a.T + s.conj() @ pair.b.T for pair in pairs], axis=-1)
+
+
 def dstc_matrix(code: LinearDispersionCode, s: np.ndarray, pa: PowerAllocation) -> np.ndarray:
-    """The (T1+T2) x (R+1) dispersion matrix S with y = combined_scale * S h + W.
+    """The (T1+T2) x (R+1) dispersion matrix S with y = combined_scale * S h + W, per source vector of s (..., K).
 
     Column 0 carries the broadcast phase, sqrt((pi1 P + 1)/(pi3 P)) * s on
     top and zeros below, the source being silent in the cooperation phase;
     column i >= 1 is relay i's contribution A_i s + B_i s*.
     """
     s = np.asarray(s, dtype=complex)
-    if s.shape != (code.K,):
+    if s.ndim == 0 or s.shape[-1] != code.K:
         raise DimensionError(f"source vector must have length {code.K}")
-    pairs = scaled_relay_pairs(code)
-    mat = np.zeros((pa.t1 + pa.t2, code.N + 1), dtype=complex)
-    mat[: pa.t1, 0] = math.sqrt((pa.pi1 * pa.p + 1.0) / (pa.pi3 * pa.p)) * s
-    for i, pair in enumerate(pairs):
-        mat[pa.t1 :, i + 1] = pair.a @ s + pair.b @ s.conj()
+    mat = np.zeros(s.shape[:-1] + (pa.t1 + pa.t2, code.N + 1), dtype=complex)
+    mat[..., : pa.t1, 0] = math.sqrt((pa.pi1 * pa.p + 1.0) / (pa.pi3 * pa.p)) * s
+    mat[..., pa.t1 :, 1:] = _relay_columns(scaled_relay_pairs(code), s)
     return mat
 
 
@@ -298,27 +301,13 @@ def quadrature_pair_values(constellation: Constellation, scale: float) -> np.nda
 
 
 def real_response_matrix(code: LinearDispersionCode, ch: ChannelRealization, pa: PowerAllocation) -> np.ndarray:
-    """Real (2(T1+T2), 2K) matrix mapping real symbols to the noiseless receive vector."""
+    """Real (2(T1+T2), 2K) matrix mapping the real symbols (Re s_1, Im s_1, ...) to the noiseless receive vector.
+
+    Columns 2m and 2m + 1 are combined_scale * S(u) h at the unit symbols u = e_m and u = i e_m.
+    """
     _validate(code, ch, pa)
-    pairs = scaled_relay_pairs(code)
-    t1, t2 = pa.t1, pa.t2
-    resp = np.zeros((t1 + t2, 2 * code.K), dtype=complex)
-    plus = [pair.a + pair.b for pair in pairs]
-    minus = [pair.a - pair.b for pair in pairs]
-    hrel = np.asarray(ch.g) * np.asarray(ch.f)
-    for m in range(code.K):
-        col_i = np.zeros(t1 + t2, dtype=complex)
-        col_q = np.zeros(t1 + t2, dtype=complex)
-        col_i[t1 + np.arange(t2)] = pa.combined_scale * sum(
-            hi * pl[:, m] for hi, pl in zip(hrel, plus)
-        )
-        col_q[t1 + np.arange(t2)] = pa.combined_scale * 1j * sum(
-            hi * mi[:, m] for hi, mi in zip(hrel, minus)
-        )
-        col_i[:t1] = pa.broadcast_amp * ch.g0 * np.eye(t1)[:, m]
-        col_q[:t1] = pa.broadcast_amp * ch.g0 * 1j * np.eye(t1)[:, m]
-        resp[:, 2 * m] = col_i
-        resp[:, 2 * m + 1] = col_q
+    units = np.kron(np.eye(code.K), [[1.0], [1j]])  # (2K, K): e_1, i e_1, e_2, ...
+    resp = pa.combined_scale * (dstc_matrix(code, units, pa) @ ch.h).T
     return np.vstack([resp.real, resp.imag])
 
 
@@ -494,15 +483,11 @@ def _block_rows(row_bytes: int) -> int:
     return max(3, BLOCK_BYTES // row_bytes)
 
 
-def _symbol_responses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """M (2K, T2, R): relay r's slot-t output per unit of Re s_j (A + B) and of Im s_j (i (A - B))."""
-    return np.concatenate([a + b, 1j * (a - b)], axis=2).transpose(2, 1, 0)
-
-
-def _diagonal_forms(a: np.ndarray, b: np.ndarray, groups) -> tuple:
+def _diagonal_forms(m: np.ndarray, groups) -> tuple:
     """Coefficient maps of the proper noise paths: (z_keep, linear, outer_keep, quadratic, monomials).
 
-    ``a``, ``b`` stack (A_r, B_r). The relay columns are linear in the real
+    ``m`` (2K, T2, R) holds relay r's slot-t output per unit of each real
+    symbol. The relay columns are linear in the real
     symbols x = (Re s, Im s), C_t = sum_j x_j M_jt, so with h = g f the
     cooperation phase's cross term Re sum_t w(t) conj(h^T C_t) y2_t is
     linear in x, weighing the products z_tr = conj(h_r) w(t) y2_t, and
@@ -515,8 +500,7 @@ def _diagonal_forms(a: np.ndarray, b: np.ndarray, groups) -> tuple:
     onto the monomials x_j x_i. Products and monomials that no form weighs
     are left out; the squares are always kept, as ||s||^2 weighs them all.
     """
-    k = a.shape[2]
-    m = _symbol_responses(a, b)
+    k = len(m) // 2
     zt, zr = np.nonzero(np.any(m != 0, axis=0))
     linear = np.ascontiguousarray(m[:, zt, zr]).view(np.float64).T.copy()  # (2 Z, 2K): Re, Im of conj(M) z
     # x_j x_i (j <= i) weighs sum_t conj(M_jta) M_itb + conj(M_ita) M_jtb (once when j == i)
@@ -633,6 +617,7 @@ class _Kernel:
         self.m, self.L = m, codewords = con.size, con.size**k
         if codewords >= 1 << 63:
             raise ParameterError(f"{codewords} codewords do not fit a 64-bit codeword index")
+        resp = _relay_columns(pairs, np.concatenate([np.eye(k), 1j * np.eye(k)]))  # (2K, T2, R): per unit of x
         # Diagonal dispersion Grams Z_r Z_r^T with equal real and imaginary halves keep the
         # forwarded noise proper and white per slot; slots are then grouped by their per-relay
         # diagonal. Anything else takes the general path.
@@ -656,7 +641,7 @@ class _Kernel:
             fixed += 24 * r * d * d + 32 * k * t2 * r
             self.gen_zz = zz
             # the cooperation response of Re s_j and Im s_j per unit relay gain: (R, 2K T2)
-            self.gen_resp = np.ascontiguousarray(_symbol_responses(a, b).reshape(2 * k * t2, r).T)
+            self.gen_resp = np.ascontiguousarray(resp.reshape(2 * k * t2, r).T)
         else:
             # each slot joins the group of the first slot with the same diagonal
             first = np.argmax(np.max(np.abs(d_re[:, :, None] - d_re[:, None, :]), axis=0) <= _NOISE_TOL, axis=0)
@@ -667,7 +652,7 @@ class _Kernel:
             # products onto x; outer_keep (t, a, b): the group leader and relay pair of each product
             # conj(h_a) h_b weighed, quadratic (2 F, P) those products, pre-weighed, onto the monomials
             self.z_keep, self.linear, self.outer_keep, self.quadratic, self.monomials = _diagonal_forms(
-                a, b, self.slot_groups
+                resp, self.slot_groups
             )
             self.symbol_groups = _symbol_groups(self.monomials, k)
             # per trial: the noise weights, the products and their gathers and their weights
@@ -767,16 +752,15 @@ class _Kernel:
         y2 = pa.relay_gain * (grx @ self.a_flat.T + grxc @ self.b_flat.T) + w2
         return g0, g, f, y1, y2
 
-    def _proper_coefficients(self, pa: PowerAllocation, g0, g, f, y1, y2) -> np.ndarray:
-        """psi of the proper noise paths, from the trial's products through the two fixed GEMMs.
+    def _proper_coefficients(self, pa: PowerAllocation, g, f, y2) -> np.ndarray:
+        """The cooperation phase's psi on the proper noise paths, from the trial's products through two fixed GEMMs.
 
         Per noise-weight group g with w_g = 1 / (1 + kappa sum_r |g_r|^2 d[r, g]),
-        the metric is 2||r1||^2 - 4 Re<y1,r1> + sum_g w_g (2||r2_g||^2 - 4 Re<y2_g,r2_g>);
+        the phase adds sum_g w_g (2||r2_g||^2 - 4 Re<y2_g,r2_g>) to the metric;
         each slot takes its group's weight.
         """
-        n, k = y1.shape
-        c1 = pa.broadcast_amp
-        c2 = c1 * pa.relay_gain
+        n, k = len(g), self.t1
+        c2 = pa.combined_scale
         # decoder believes the effective-channel model h = (g0, g_i f_i)
         hh = g * f
         winv = 1.0 / (1.0 + pa.relay_gain_sq * (np.abs(g) ** 2 @ self.noise_diag))  # (n, T2)
@@ -785,47 +769,48 @@ class _Kernel:
         lead, ea, eb = self.outer_keep
         outer = np.conj(np.take(hh, ea, axis=1)) * np.take(hh, eb, axis=1)
         outer *= (2.0 * c2 * c2) * np.take(winv, lead, axis=1)
-        a1 = np.conj(g0)[:, None] * y1
         psi = np.empty((n, self.table.shape[1]))
         np.matmul(z.view(np.float64), self.linear, out=psi[:, : 2 * k])
         psi[:, : 2 * k] *= -4.0 * c2
-        psi[:, :k] -= (4.0 * c1) * a1.real
-        psi[:, k : 2 * k] -= (4.0 * c1) * a1.imag
         np.matmul(outer.view(np.float64), self.quadratic, out=psi[:, 2 * k :])
-        psi[:, self.squares] += (2.0 * c1 * c1) * np.abs(g0)[:, None] ** 2
         return psi
 
-    def _solved_coefficients(self, pa: PowerAllocation, g0, g, f, y1, y2) -> np.ndarray:
-        """psi of the improper path: -2b and Q from each trial's real-stacked covariance C.
+    def _solved_coefficients(self, pa: PowerAllocation, g, f, y2) -> np.ndarray:
+        """The cooperation phase's psi on the improper path: -2b and Q from each trial's real-stacked covariance C.
 
-        b = R^T C^-1 y and Q = R^T C^-1 R, R the trial's real response. The
-        broadcast phase's noise is white, so it adds 2 c1 (Re, Im) conj(g0) y1
-        to b and 2 c1^2 |g0|^2 to Q's diagonal; the cooperation phase's part
-        comes from one batched solve against its covariance.
+        b = R^T C^-1 y2 and Q = R^T C^-1 R, R the trial's real cooperation
+        response, from one batched solve against its covariance.
         """
-        n, k = len(g0), self.t1
-        c1 = pa.broadcast_amp
-        c2 = c1 * pa.relay_gain
+        n, k = len(g), self.t1
+        c2 = pa.combined_scale
         resp = ((g * f) @ self.gen_resp).reshape(n, 2 * k, self.t2)  # decoder model h = g f
         rt = c2 * np.concatenate([resp.real, resp.imag], axis=2)  # (n, 2K, 2T2): R^T
         cov = _cooperation_covariance(self.gen_zz, g, pa.relay_gain_sq)
         y2r = np.concatenate([y2.real, y2.imag], axis=1)
         sol = np.linalg.solve(cov, np.concatenate([rt, y2r[:, None, :]], axis=1).transpose(0, 2, 1))
-        qb = rt @ sol  # (n, 2K, 2K + 1): the cooperation phase's Q, then its b
-        a1 = np.conj(g0)[:, None] * y1
-        b = np.concatenate([a1.real, a1.imag], axis=1) * (2.0 * c1) + qb[:, :, -1]
+        qb = rt @ sol  # (n, 2K, 2K + 1): Q, then b
         j, i = self.monomials
         psi = np.empty((n, 2 * k + len(j)))
-        np.multiply(b, -2.0, out=psi[:, : 2 * k])
+        np.multiply(qb[:, :, -1], -2.0, out=psi[:, : 2 * k])
         np.multiply(qb[:, j, i], np.where(j < i, 2.0, 1.0), out=psi[:, 2 * k :])
-        psi[:, self.squares] += (2.0 * c1 * c1) * np.abs(g0)[:, None] ** 2
         return psi
 
     def coefficients(self, pa: PowerAllocation, g0, g, f, y1, y2) -> np.ndarray:
-        """Per-trial monomial coefficients psi: psi @ table.T is the ML metric up to a constant per trial."""
-        if self.noise_path == "general":
-            return self._solved_coefficients(pa, g0, g, f, y1, y2)
-        return self._proper_coefficients(pa, g0, g, f, y1, y2)
+        """Per-trial monomial coefficients psi: psi @ table.T is the ML metric up to a constant per trial.
+
+        The broadcast phase's noise is white on every noise path, so its share
+        of the metric, 2||r1||^2 - 4 Re<y1, r1> with r1 = c1 g0 s, adds
+        -4 c1 (Re, Im) conj(g0) y1 to x's columns and 2 c1^2 |g0|^2 to the
+        squares' columns of the cooperation phase's psi.
+        """
+        cooperation = self._solved_coefficients if self.noise_path == "general" else self._proper_coefficients
+        psi = cooperation(pa, g, f, y2)
+        k, c1 = self.t1, pa.broadcast_amp
+        a1 = np.conj(g0)[:, None] * y1
+        psi[:, :k] -= (4.0 * c1) * a1.real
+        psi[:, k : 2 * k] -= (4.0 * c1) * a1.imag
+        psi[:, self.squares] += (2.0 * c1 * c1) * np.abs(g0)[:, None] ** 2
+        return psi
 
     def decode_batch(self, pa: PowerAllocation, g0, g, f, y1, y2) -> np.ndarray:
         """Exact ML decisions: one real GEMM of psi against the table; each symbol group takes its best candidate."""

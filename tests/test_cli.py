@@ -429,14 +429,21 @@ class TestFlagsAndBadInput:
             ["simulate", "--family", "cod8", "--trials", "200000", "--snr-db", "10", "--manifest", "missing/m.json"],
             ["dmg", "--samples", "1000000", "--out", "missing/a.csv"],
             ["dmg", "--samples", "1000000", "--manifest", "missing/m.json"],
+            ["analyze", "--family", "cod8", "--out", "missing/a.json"],
+            ["analyze", "--family", "cod8", "--out", "a.json", "--manifest", "missing/m.json"],
+            ["verify", "--family", "cod8", "--out", "missing/r.json"],
+            ["verify", "--family", "cod8", "--out", "r.json", "--manifest", "missing/m.json"],
+            ["construct", "--family", "cod8", "--out", "a.json", "--manifest", "missing/m.json"],
         ],
-        ids=["simulate-csv", "simulate-manifest", "dmg-csv", "dmg-manifest"],
+        ids=["simulate-csv", "simulate-manifest", "dmg-csv", "dmg-manifest", "analyze-json", "analyze-manifest",
+             "verify-json", "verify-manifest", "construct-manifest"],
     )
     def test_output_paths_are_checked_before_any_trial(self, tmp_path, capsys, monkeypatch, args):
         monkeypatch.chdir(tmp_path)
         ran = []
-        monkeypatch.setattr(cli, "monte_carlo_ber", lambda *a, **k: ran.append("monte_carlo_ber"))
-        monkeypatch.setattr(cli, "channel_stat_samples", lambda *a, **k: ran.append("channel_stat_samples"))
+        for module, name in [(cli, "monte_carlo_ber"), (cli, "channel_stat_samples"), (cli, "analyze_codebook"),
+                             (cli, "verify_code"), (cli.lib, "save_bundle")]:
+            monkeypatch.setattr(module, name, lambda *a, name=name, **k: ran.append(name))
         assert run(args) == 2
         captured = capsys.readouterr()
         assert ran == [] and captured.out == ""

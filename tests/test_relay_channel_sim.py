@@ -60,6 +60,18 @@ def make_signal(code, s, ch, pa, rng=None, add_noise=True):
     return simulate_transmission(code, s, ch, pa, rng=rng, add_noise=add_noise)
 
 
+def assert_decoder_model_is_physical(code, rng):
+    """real_response_matrix @ x is the real-stacked noiseless transmission, x the interleaved (Re, Im) parts of s."""
+    pa = PowerAllocation.equal_split(code, 10.0)
+    for _ in range(5):
+        ch = sample_channel(code.N, True, rng)
+        s = rng.standard_normal(code.K) + 1j * rng.standard_normal(code.K)
+        x = np.stack([s.real, s.imag], axis=1).ravel()
+        want = real_stack(make_signal(code, s, ch, pa, add_noise=False).y)
+        got = real_response_matrix(code, ch, pa) @ x
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 class TestPowerAllocation:
     def test_equal_split_satisfies_identity(self):
         pa = PowerAllocation.equal_split(alamouti(), 10.0)
@@ -144,6 +156,17 @@ class TestTransmissionModel:
             sig = make_signal(code, s, ch, pa, add_noise=False)
             model = pa.combined_scale * dstc_matrix(code, s, pa) @ ch.h
             assert np.max(np.abs(sig.y - model)) <= 1e-10
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_decoder_model_is_the_physical_model(self, family):
+        # partial CSI only: with complex f and B != 0 the channel differs from the decoder's model h = g f
+        assert_decoder_model_is_physical(FAMILIES[family](), np.random.default_rng(7))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_decoder_model_of_random_codes_is_the_physical_model(self, seed):
+        rng = np.random.default_rng(seed)
+        assert_decoder_model_is_physical(random_compliant_code(rng), rng)
 
     def test_single_relay_identity_chain(self):
         # one relay with A = I/sqrt(2): y2 = relay_gain * g1 * (c1 f1 s + v1) with zero noise
