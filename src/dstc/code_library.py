@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -73,6 +73,20 @@ class LinearDispersionCode:
         out[0::2] = np.stack(self.weights_i)
         out[1::2] = np.stack(self.weights_q)
         return out
+
+    @cached_property
+    def _scaled_relay_pairs(self) -> tuple:
+        """What ``scaled_relay_pairs`` returns, kept with the code."""
+        out = []
+        for i, p in enumerate(relay_pairs(self)):
+            power = p.power()
+            if power <= 1e-14:
+                raise ParameterError(f"relay column {i} is identically zero")
+            s = 1.0 / np.sqrt(power)
+            a, b = p.a * s, p.b * s
+            a.flags.writeable = b.flags.writeable = False
+            out.append(RelayMatrixPair(a, b))
+        return tuple(out)
 
     def codeword(self, symbols) -> np.ndarray:
         """Evaluate the design at a vector of K complex symbols."""
@@ -374,16 +388,12 @@ def relay_pairs(code: LinearDispersionCode) -> list[RelayMatrixPair]:
 
 
 def scaled_relay_pairs(code: LinearDispersionCode) -> list[RelayMatrixPair]:
-    """Relay pairs scaled so each meets the unit power budget with equality."""
-    pairs = relay_pairs(code)
-    out = []
-    for i, p in enumerate(pairs):
-        power = p.power()
-        if power <= 1e-14:
-            raise ParameterError(f"relay column {i} is identically zero")
-        s = 1.0 / np.sqrt(power)
-        out.append(RelayMatrixPair(p.a * s, p.b * s))
-    return out
+    """Relay pairs scaled so each meets the unit power budget with equality.
+
+    They are built on the code's first call and kept with it, their matrices
+    read-only, as a code's weights do not change once it is made.
+    """
+    return list(code._scaled_relay_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +442,40 @@ def from_bundle(bundle: dict) -> LinearDispersionCode:
     return LinearDispersionCode(wi, wq, name=str(bundle.get("name", "bundle")))
 
 
+def _json_array(items: list, pad: int) -> str:
+    """A JSON array of formatted items starting at column ``pad``, laid out as ``json.dumps(indent=2)`` does."""
+    if not items:
+        return "[]"
+    inner = "\n" + " " * (pad + 2)
+    return "[" + inner + ("," + inner).join(items) + "\n" + " " * pad + "]"
+
+
+def _json_weights(weights: tuple[np.ndarray, ...]) -> str:
+    """``_matrix_to_json`` of each weight as an array at the bundle's second level, numbers by json's C encoder."""
+    k, (t, n) = len(weights), weights[0].shape
+    w = np.stack(weights)
+    nums = json.dumps(np.stack([w.real, w.imag], axis=-1).ravel().tolist())[1:-1].split(", ") if w.size else []
+    at10, at8 = "\n" + " " * 10, "\n" + " " * 8
+    pairs = [f"[{at10}{re},{at10}{im}{at8}]" for re, im in zip(nums[0::2], nums[1::2])]
+    rows = [_json_array(pairs[r * n : (r + 1) * n], 6) for r in range(k * t)]
+    return _json_array([_json_array(rows[m * t : (m + 1) * t], 4) for m in range(k)], 2)
+
+
 def bundle_text(code: LinearDispersionCode) -> str:
-    """The text ``save_bundle`` writes: the bundle as indented JSON with sorted keys."""
-    return json.dumps(to_bundle(code), indent=2, sort_keys=True) + "\n"
+    """The text ``save_bundle`` writes: ``json.dumps(to_bundle(code), indent=2, sort_keys=True)`` and a newline.
+
+    It is laid out here, not by json's indenting encoder, which runs in pure
+    Python element by element.
+    """
+    fields = {
+        "T": json.dumps(code.T),
+        "N": json.dumps(code.N),
+        "K": json.dumps(code.K),
+        "name": json.dumps(code.name),
+        "weights_I": _json_weights(code.weights_i),
+        "weights_Q": _json_weights(code.weights_q),
+    }
+    return "{\n" + ",\n".join(f"  {json.dumps(key)}: {fields[key]}" for key in sorted(fields)) + "\n}\n"
 
 
 def save_bundle(code: LinearDispersionCode, path) -> str:

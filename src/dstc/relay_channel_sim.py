@@ -29,7 +29,10 @@ synthesis, decoding and counting block by block in row blocks of bounded
 bytes. The batched decoder scores each trial's quadratic-form coefficients
 against one table of the candidates' monomials, and decides each group of
 symbols that the code's metric leaves apart on its own, so single-symbol
-decodable codes are decoded symbol by symbol. Its tables depend only on
+decodable codes are decoded symbol by symbol. A large joint group is scored
+symbol by symbol first, and its joint table scores only the trials where a
+bound on the cross-symbol terms cannot certify that the symbols' best
+points are the joint ML decision. Its tables depend only on
 the code, the constellation and the CSI mode; they are built once per
 distinct content and kept in a byte-bounded cache shared by every call. While a call runs
 more than one worker, numpy's OpenBLAS is held at one thread, so the
@@ -467,6 +470,14 @@ def wilson_interval(k: int, n: int, z: float = _WILSON_Z) -> tuple[float, float]
 # arrays and its decode arrays (features, metric block and temporaries).
 BLOCK_BYTES = 8 << 20
 _NOISE_TOL = 1e-12
+# A joint symbol group of more candidates than this is first scored per
+# symbol under a certificate; smaller ones cost less on the joint table alone.
+_CERTIFY_ROWS = 1024
+# The certificate's rounding slack is this times W sum_c |psi_c| max|t_c|
+# over a group's W table columns. A computed dot product of W terms is
+# within W unit roundoffs of that sum in any order of summation, so 64 unit
+# roundoffs per column cover the per-symbol and the joint metric many times.
+_GEMM_SLACK = 32 * np.finfo(np.float64).eps
 
 
 def _table_bytes(rows: int, k: int, width: int) -> int:
@@ -589,6 +600,15 @@ class _Kernel:
     holds no other array per codeword: the sent symbols and their digits
     come from the codeword index.
 
+    A joint group of more than ``_CERTIFY_ROWS`` candidates is also scored
+    on ``sym_table``, one row per symbol and point with the group's other
+    symbols 0, which gives each symbol its own metric. The group's cross
+    monomials add at most eps = |psi| @ max|t| over its cross columns to any
+    candidate, so when every symbol's best point beats its second best by
+    more than 2 eps plus twice the rounding slack, the symbols' best points
+    are the joint table's argmin (a bound-and-prune form of real-lattice ML).
+    Only the trials not so certified are scored on the group's joint rows.
+
     Under the ``scalar`` and ``diagonal`` noise paths the cooperation noise
     is white within each group of slots that share a per-relay noise
     diagonal (one group under ``scalar``). psi then comes from two fixed
@@ -663,7 +683,14 @@ class _Kernel:
         candidates = sum(m ** len(g) for g in self.symbol_groups)
         row_bytes += 8 * width + 8 * candidates  # psi and the metric row
         self.block_rows = _block_rows(row_bytes)
-        self.kernel_bytes = fixed + sum(_table_bytes(m ** len(g), len(g), width) for g in self.symbol_groups)
+        certify = [len(g) > 1 and m ** len(g) > _CERTIFY_ROWS for g in self.symbol_groups]
+        self.certified = tuple(g for g, c in zip(self.symbol_groups, certify) if c)
+        sym_rows = m * sum(map(len, self.certified))
+        self.kernel_bytes = (
+            fixed
+            + sum(_table_bytes(m ** len(g), len(g), width) for g in self.symbol_groups)
+            + _table_bytes(sym_rows, k, width)
+        )
         memory = _physical_memory()
         if memory and self.kernel_bytes > memory // 2:
             raise ParameterError(
@@ -682,20 +709,35 @@ class _Kernel:
         )
         # One table segment per symbol group, one row per candidate of the group: the
         # group's symbols take their candidate's points and every other symbol is 0.
-        # ``places`` holds each candidate's share of the codeword index.
+        # ``places`` holds each candidate's share of the codeword index. The groups
+        # scored on the joint table for every trial lead, in its first ``direct_rows`` rows.
         self.table = np.empty((candidates, width))  # the GEMM reads its transpose
         self.places = np.empty(candidates, dtype=np.intp)
-        self.spans = []  # each group's rows of the table
+        self.spans = [None] * len(self.symbol_groups)  # each group's rows of the table
         lo = 0
-        for grp in self.symbol_groups:
+        for gi in sorted(range(len(certify)), key=certify.__getitem__):
+            grp = self.symbol_groups[gi]
             digits = _digit_grid(m, len(grp))
             hi = lo + len(digits)
             sym = np.zeros((len(digits), k), dtype=complex)
             sym[:, grp] = self.points[digits]
             _monomial_table(sym, self.monomials, out=self.table[lo:hi])
             self.places[lo:hi] = digits @ self.place[list(grp)]
-            self.spans.append((lo, hi))
+            self.spans[gi] = (lo, hi)
             lo = hi
+        self.direct_rows = candidates - sum(m ** len(g) for g in self.certified)
+        # the certified groups' symbols in turn, each taking every point
+        syms = np.array([s for g in self.certified for s in g], dtype=np.intp)
+        sym = np.zeros((sym_rows, k), dtype=complex)
+        sym[np.arange(sym_rows), np.repeat(syms, m)] = np.tile(self.points, len(syms))
+        self.sym_table = _monomial_table(sym, self.monomials)
+        # |psi| @ margins.T is each certified group's eps plus its rounding slack: every column's
+        # largest |entry| counts in full on the group's cross monomials and as slack on all its columns
+        xmax = np.repeat([np.abs(self.points.real).max(), np.abs(self.points.imag).max()], k)
+        top = np.concatenate([xmax, xmax[j] * xmax[i]])
+        owner, partner = np.concatenate([np.arange(2 * k), j]) % k, np.concatenate([np.arange(2 * k), i]) % k
+        per_unit = top * ((owner != partner) + _GEMM_SLACK * width)
+        self.margins = np.array([np.isin(owner, g) * per_unit for g in self.certified]).reshape(-1, width)
 
     @property
     def nbytes(self) -> int:
@@ -711,6 +753,8 @@ class _Kernel:
             "codewords": self.L,
             "symbol_groups": [list(g) for g in self.symbol_groups],
             "decode_candidates": len(self.table),
+            "certified_groups": [list(g) for g in self.certified],
+            "per_symbol_candidates": len(self.sym_table),
             "feature_width": None if self.noise_path == "general" else self.table.shape[1],
             "block_rows": self.block_rows,
         }
@@ -812,17 +856,49 @@ class _Kernel:
         psi[:, self.squares] += (2.0 * c1 * c1) * np.abs(g0)[:, None] ** 2
         return psi
 
-    def decode_batch(self, pa: PowerAllocation, g0, g, f, y1, y2) -> np.ndarray:
-        """Exact ML decisions: one real GEMM of psi against the table; each symbol group takes its best candidate."""
-        metric = self.coefficients(pa, g0, g, f, y1, y2) @ self.table.T
-        dec = np.zeros(len(g0), dtype=np.intp)
-        for lo, hi in self.spans:
-            dec += self.places[lo + np.argmin(metric[:, lo:hi], axis=1)]
-        return dec
+    def decode_batch(self, pa: PowerAllocation, g0, g, f, y1, y2) -> tuple[np.ndarray, int]:
+        """Exact ML decisions, and how many trials every certified group decided per symbol.
+
+        The groups on the joint table take their best candidate from one real
+        GEMM of psi against its leading rows. A certified group takes each
+        symbol's best point from psi @ sym_table.T where the certificate holds,
+        and its best joint candidate elsewhere.
+        """
+        psi = self.coefficients(pa, g0, g, f, y1, y2)
+        n = len(psi)
+        dec = np.zeros(n, dtype=np.intp)
+        sure = np.full(n, bool(self.certified))
+        if self.direct_rows:
+            metric = psi @ self.table[: self.direct_rows].T
+            for lo, hi in self.spans:
+                if hi <= self.direct_rows:
+                    dec += self.places[lo + np.argmin(metric[:, lo:hi], axis=1)]
+        if self.certified:
+            per_symbol = (psi @ self.sym_table.T).reshape(n, -1, self.m)  # (n, symbols, M)
+            best = np.argmin(per_symbol, axis=2)
+            low = np.partition(per_symbol, 1, axis=2)
+            gap = low[:, :, 1] - low[:, :, 0]
+            margin = 2.0 * (np.abs(psi) @ self.margins.T)  # (n, certified groups)
+            first = 0
+            for c, grp in enumerate(self.certified):
+                mine = slice(first, first + len(grp))
+                first = mine.stop
+                ok = np.all(gap[:, mine] > margin[:, c : c + 1], axis=1)
+                share = best[:, mine] @ self.place[list(grp)]
+                rest = np.flatnonzero(~ok)
+                if len(rest) == 1 and n > 1:  # BLAS would score a single row as a matrix-vector product
+                    rest = np.append(rest, (rest[0] + 1) % n)  # a certified row, whose joint decision is its own
+                if len(rest):
+                    lo, hi = self.spans[self.symbol_groups.index(grp)]
+                    share[rest] = self.places[lo + np.argmin(psi[rest] @ self.table[lo:hi].T, axis=1)]
+                dec += share
+                sure &= ok
+        return dec, int(np.count_nonzero(sure))
 
     def run_chunk(self, pa: PowerAllocation, seed: int, snr_idx: int, chunk_idx: int, n: int):
-        """Codeword and bit errors of one chunk: its codewords first, then draw to count per row block.
+        """Codeword and bit errors of one chunk, and its trials certified per symbol (see ``decode_batch``).
 
+        Its codewords are drawn first, then draw to count runs per row block.
         The normals of consecutive blocks are the chunk's one normal block
         drawn in pieces, so the block size does not change the counts.
         """
@@ -830,14 +906,15 @@ class _Kernel:
             np.random.Philox(key=np.array([seed, (snr_idx << 32) + chunk_idx], dtype=np.uint64))
         )
         idx = rng.integers(0, self.L, n)
-        cw = bits = 0
+        cw = bits = certified = 0
         for lo, hi in _row_blocks(n, self.block_rows):
             sent = idx[lo:hi]
-            dec = self.decode_batch(pa, *self.simulate_batch(pa, rng, sent))
+            dec, sure = self.decode_batch(pa, *self.simulate_batch(pa, rng, sent))
             wrong = dec != sent  # only these carry bit errors
             cw += int(np.count_nonzero(wrong))
             bits += int(self.bitdist[self.symbol_digits(sent[wrong]), self.symbol_digits(dec[wrong])].sum())
-        return cw, bits
+            certified += sure
+        return cw, bits, certified
 
 
 # Bytes the kernel cache may hold over all its kernels; a larger kernel is
@@ -954,8 +1031,10 @@ def monte_carlo_ber(cfg: SimConfig, telemetry: dict | None = None) -> list[BerPo
     ``kernel_reused``, ``workers``, ``blas_threads_per_worker`` (the
     OpenBLAS thread count while chunks ran, None when it cannot be reached)
     and ``snr_points``: per SNR point its ``trials``, ``wall_s`` (from the
-    start of its first chunk to the end of its last, across workers) and
-    ``trials_per_s``.
+    start of its first chunk to the end of its last, across workers),
+    ``trials_per_s`` and ``certified_frac``, the share of trials that every
+    certified symbol group decided per symbol (None when the kernel has no
+    certified group).
     """
     kernel, build_s, reused = _cached_kernel(cfg.code, cfg.constellation, cfg.partial_csi)
     pas = cfg.power_allocations()
@@ -984,17 +1063,24 @@ def monte_carlo_ber(cfg: SimConfig, telemetry: dict | None = None) -> list[BerPo
                 results = list(pool.map(job, jobs))
         else:
             results = [job(spec) for spec in jobs]
-    cw, bits = [0] * len(cfg.trials), [0] * len(cfg.trials)
+    cw, bits, certified = [0] * len(cfg.trials), [0] * len(cfg.trials), [0] * len(cfg.trials)
     spans = [[math.inf, -math.inf] for _ in cfg.trials]  # first chunk start, last chunk end
-    for snr_idx, (c, b), start, end in results:
+    for snr_idx, (c, b, sure), start, end in results:
         cw[snr_idx] += c
         bits[snr_idx] += b
+        certified[snr_idx] += sure
         spans[snr_idx] = [min(spans[snr_idx][0], start), max(spans[snr_idx][1], end)]
     if telemetry is not None:
         walls = [end - start for start, end in spans]
         telemetry["snr_points"] = [
-            {"snr_db": snr, "trials": trials, "wall_s": wall, "trials_per_s": trials / wall if wall > 0 else None}
-            for snr, trials, wall in zip(cfg.snr_db, cfg.trials, walls)
+            {
+                "snr_db": snr,
+                "trials": trials,
+                "wall_s": wall,
+                "trials_per_s": trials / wall if wall > 0 else None,
+                "certified_frac": sure / trials if kernel.certified else None,
+            }
+            for snr, trials, wall, sure in zip(cfg.snr_db, cfg.trials, walls, certified)
         ]
     points = []
     for snr, trials, c, b in zip(cfg.snr_db, cfg.trials, cw, bits):

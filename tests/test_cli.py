@@ -160,10 +160,17 @@ class TestSimulate:
         assert (tmp_path / "sim.csv.manifest.json").exists()
 
     @pytest.mark.parametrize(
-        "family, path, groups, width, candidates",
-        [("alamouti", "scalar", 1, 8, 8), ("cod8", "diagonal", 8, 40, 256)],
+        "family, path, groups, width, candidates, symbols, certified, per_symbol",
+        [
+            ("alamouti", "scalar", 1, 8, 8, [[0], [1]], [], 0),
+            ("cod8", "diagonal", 8, 40, 256, [[0, 1, 2, 3]], [], 0),
+            ("cuw8", "diagonal", 4, 78, 4096, [list(range(6))], [list(range(6))], 24),
+        ],
+        ids=["alamouti-scalar-1-8-8", "cod8-diagonal-8-40-256", "cuw8-diagonal-4-78-4096"],
     )
-    def test_manifest_records_decoder(self, tmp_path, monkeypatch, family, path, groups, width, candidates):
+    def test_manifest_records_decoder(
+        self, tmp_path, monkeypatch, family, path, groups, width, candidates, symbols, certified, per_symbol
+    ):
         monkeypatch.setattr(relay_channel_sim, "_KERNELS", OrderedDict())  # the first call builds
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
@@ -180,11 +187,17 @@ class TestSimulate:
             assert manifest["versions"]["python"] == platform.python_version()
             assert manifest["versions"]["platform"] == platform.platform()
             decoders.append(manifest["decoder"])
+            (point,) = manifest["snr_points"]
+            if certified:  # most trials at 10 dB are certified, and 50 trials do not round the share to 1
+                assert 0.5 <= point["certified_frac"] <= 1.0 and point["certified_frac"] * 50 % 1 == 0
+            else:
+                assert point["certified_frac"] is None
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         for decoder in decoders:
             assert decoder["noise_path"] == path and decoder["noise_groups"] == groups
             assert decoder["feature_width"] == width and decoder["decode_candidates"] == candidates
-            assert decoder["symbol_groups"] == ([[0], [1]] if family == "alamouti" else [[0, 1, 2, 3]])
+            assert decoder["symbol_groups"] == symbols
+            assert decoder["certified_groups"] == certified and decoder["per_symbol_candidates"] == per_symbol
             assert decoder["blas_thread_env"] == {
                 "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None
             }
@@ -206,7 +219,8 @@ class TestSimulate:
             assert run(args + ["--threads", threads, "--manifest", manifest]) == 0
             outputs.append(capsys.readouterr().out)
             points = json.loads(manifest.read_text())["snr_points"]
-            assert [set(p) for p in points] == [{"snr_db", "trials", "wall_s", "trials_per_s"}] * 3
+            assert [set(p) for p in points] == [{"snr_db", "trials", "wall_s", "trials_per_s", "certified_frac"}] * 3
+            assert all(p["certified_frac"] is None for p in points)  # alamouti is decoded symbol by symbol
             assert [(p["snr_db"], p["trials"]) for p in points] == [(5.0, 300), (10.0, 200), (15.0, 100)]
             for p in points:
                 assert p["wall_s"] > 0 and p["trials_per_s"] == pytest.approx(p["trials"] / p["wall_s"])

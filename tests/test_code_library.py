@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dstc.cli import _FAMILIES as FAMILIES
 from dstc.code_library import (
     LinearDispersionCode,
     alamouti,
     block_diagonal_extend,
+    bundle_text,
     clifford_4x4,
     cuw_ssd,
     from_bundle,
@@ -271,6 +273,16 @@ class TestRelayPairs:
             for pair in scaled_relay_pairs(code):
                 assert pair.power() == pytest.approx(1.0, abs=1e-12)
 
+    def test_scaled_pairs_are_built_once_per_code(self):
+        # the per-trial oracle asks for them several times per trial
+        code = square_cod(8)
+        first, again = scaled_relay_pairs(code), scaled_relay_pairs(code)
+        assert first is not again and all(p is q for p, q in zip(first, again))
+        assert not any(p.a.flags.writeable or p.b.flags.writeable for p in first)
+        for kept, fresh in zip(first, relay_pairs(code)):
+            scale = 1.0 / np.sqrt(fresh.power())
+            assert np.array_equal(kept.a, fresh.a * scale) and np.array_equal(kept.b, fresh.b * scale)
+
     def test_zero_column_rejected(self):
         dead = LinearDispersionCode(
             (np.array([[1.0, 0.0]], dtype=complex),),
@@ -327,6 +339,22 @@ class TestBundles:
         path.write_text("{not json")
         with pytest.raises(ParameterError):
             load_bundle(path)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_bundle_text_is_indented_json(self, family):
+        code = FAMILIES[family]()
+        assert bundle_text(code) == json.dumps(to_bundle(code), indent=2, sort_keys=True) + "\n"
+
+    def test_bundle_text_of_unusual_codes_is_indented_json(self):
+        odd = np.array([[complex(np.nan, np.inf), complex(-0.0, -1e-300), complex(1e300, -np.inf)]])
+        codes = [
+            LinearDispersionCode((odd,), (odd.T.reshape(1, 3),), name='a "name", [with] \u00e9'),
+            LinearDispersionCode((np.zeros((0, 3), complex),) * 2, (np.zeros((0, 3), complex),) * 2),
+            LinearDispersionCode((np.zeros((2, 0), complex),), (np.zeros((2, 0), complex),)),
+            block_diagonal_extend(alamouti(), 3),
+        ]
+        for code in codes:
+            assert bundle_text(code) == json.dumps(to_bundle(code), indent=2, sort_keys=True) + "\n"
 
     def test_bundle_is_sorted_json(self, tmp_path):
         path = tmp_path / "code.json"

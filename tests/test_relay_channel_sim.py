@@ -506,7 +506,7 @@ class TestKernel:
     )
     def test_batched_decoder_matches_reference(self, code):
         kernel, pa, batch = kernel_batch(code, 30.0, 200, seed=21)
-        dec = kernel.decode_batch(pa, *batch)
+        dec = kernel.decode_batch(pa, *batch)[0]
         assert list(dec) == reference_decisions(code, pa, batch)
 
     @pytest.mark.parametrize(
@@ -518,7 +518,7 @@ class TestKernel:
         kernel, pa, batch = kernel_batch(code, 10.0, 150, seed=23)
         assert kernel.noise_path == "diagonal"
         assert len(kernel.slot_groups) == groups
-        dec = kernel.decode_batch(pa, *batch)
+        dec = kernel.decode_batch(pa, *batch)[0]
         ref = reference_decisions(code, pa, batch)
         assert list(dec) == ref
         assert len(set(ref)) > 1
@@ -534,7 +534,7 @@ class TestKernel:
         assert kernel.noise_path == "scalar"
         assert kernel.symbol_groups == tuple((m,) for m in range(code.K))
         old = np.argmin(old_scalar_phi(code, pa, *batch) @ old_scalar_table(code, con), axis=1)
-        assert np.array_equal(kernel.decode_batch(pa, *batch), old)
+        assert np.array_equal(kernel.decode_batch(pa, *batch)[0], old)
         assert len(set(old.tolist())) > 1
 
     def test_row_blocks_cover_without_single_rows(self):
@@ -557,7 +557,7 @@ class TestKernel:
             kernel.block_rows = rows
             counts.append([kernel.run_chunk(pa, 25, 0, chunk, n) for chunk in range(3)])
         assert counts[0] == counts[1] == counts[2]
-        assert all(cw > 0 for cw, _ in counts[0])
+        assert all(cw > 0 for cw, *_ in counts[0])
         assert _row_blocks(n, 4)[-2:] == [(296, 299), (299, 301)]
         assert _row_blocks(n, 13)[-1] == (299, 301)
 
@@ -622,8 +622,88 @@ class TestKernel:
             _, pa, batch = kernel_batch(code, p, n, seed=29, kernel=kernel)
             psi = kernel.coefficients(pa, *batch)
             want = np.concatenate([np.argmin(psi[lo:lo + 40] @ joint.T, axis=1) for lo in range(0, n, 40)])
-            assert np.array_equal(kernel.decode_batch(pa, *batch), want)
+            assert np.array_equal(kernel.decode_batch(pa, *batch)[0], want)
             assert len(set(want.tolist())) > 1
+
+    @pytest.mark.parametrize(
+        "family, con, partial_csi",
+        [(family, Constellation.qpsk(), csi) for family in ("cuw8", "ciod8") for csi in (True, False)]
+        + [("cod8", Constellation.qam16(), True)],
+        ids=["cuw8-partial", "cuw8-full", "ciod8-partial", "ciod8-full", "cod8-qam16"],
+    )
+    def test_certified_groups_decide_as_the_joint_table(self, family, con, partial_csi):
+        # the per-symbol decision stands only under its certificate; the joint GEMM's argmin is the oracle
+        code = FAMILIES[family]()
+        kernel = _Kernel(code, con, partial_csi)
+        assert kernel.certified == kernel.symbol_groups == (tuple(range(code.K)),)
+        assert len(kernel.sym_table) == code.K * con.size
+        n = 300 if kernel.L == 4096 else 120
+        rates = []
+        for snr in (0.0, 5.0, 10.0, 20.0, 30.0):
+            _, pa, batch = kernel_batch(code, 10 ** (snr / 10), n, seed=32, kernel=kernel)
+            psi = kernel.coefficients(pa, *batch)
+            want = np.concatenate([np.argmin(psi[lo:lo + 20] @ kernel.table.T, axis=1) for lo in range(0, n, 20)])
+            dec, sure = kernel.decode_batch(pa, *batch)
+            assert np.array_equal(dec, kernel.places[want])
+            rates.append(sure / n)
+        # both paths ran: some trials fell back to the joint table, most did not
+        assert min(rates) < 1.0 and max(rates) > 0.5
+
+    @pytest.mark.parametrize("code", [square_cod(4), square_cod(8)], ids=["cod4", "cod8"])
+    def test_small_groups_certified_match_the_oracle(self, code, monkeypatch):
+        monkeypatch.setattr(relay_channel_sim, "_CERTIFY_ROWS", 0)
+        kernel, pa, batch = kernel_batch(code, 10.0, 150, seed=33)
+        assert kernel.certified == kernel.symbol_groups and kernel.direct_rows == 0
+        dec, sure = kernel.decode_batch(pa, *batch)
+        assert list(dec) == reference_decisions(code, pa, batch)
+        assert 0 < sure < 150
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 3))
+    def test_random_codes_certified_match_the_oracle(self, seed, k):
+        rng = np.random.default_rng(seed)
+        code = random_compliant_code(rng, t=int(rng.integers(k, 7)), k=k)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(relay_channel_sim, "_CERTIFY_ROWS", 0)
+            kernel, pa, batch = kernel_batch(code, 12.0, 20, seed=seed)
+        assert kernel.certified == kernel.symbol_groups == (tuple(range(k)),)
+        assert list(kernel.decode_batch(pa, *batch)[0]) == reference_decisions(code, pa, batch)
+
+    def test_joint_and_certified_groups_together_match_the_oracle(self, monkeypatch):
+        # cod8 beside alamouti on their own relays: with the cut below 256 rows, cod8's group is
+        # certified while alamouti's symbols stay on the joint table, whose leading rows they take
+        parts = (square_cod(8), alamouti())
+        t, n = sum(c.T for c in parts), sum(c.N for c in parts)
+        weights = ([], [])
+        at = [0, 0]
+        for c in parts:
+            for out, ws in zip(weights, (c.weights_i, c.weights_q)):
+                for w in ws:
+                    full = np.zeros((t, n), dtype=complex)
+                    full[at[0] : at[0] + c.T, at[1] : at[1] + c.N] = w
+                    out.append(full)
+            at = [at[0] + c.T, at[1] + c.N]
+        code = LinearDispersionCode(tuple(weights[0]), tuple(weights[1]), name="cod8+alamouti")
+        monkeypatch.setattr(relay_channel_sim, "_CERTIFY_ROWS", 100)
+        kernel, pa, batch = kernel_batch(code, 10.0, 60, seed=35)
+        assert kernel.symbol_groups == ((0, 1, 2, 3), (4,), (5,)) and kernel.certified == ((0, 1, 2, 3),)
+        assert kernel.direct_rows == 8 and kernel.spans == [(8, 8 + 256), (0, 4), (4, 8)]
+        dec, sure = kernel.decode_batch(pa, *batch)
+        assert list(dec) == reference_decisions(code, pa, batch) and 0 < sure < 60
+
+    def test_block_with_one_uncertified_trial_decides_as_the_joint_table(self):
+        code = cuw_ssd(8)
+        kernel, pa, batch = kernel_batch(code, 1.0, 200, seed=34)
+        # a trial repeated twice is certified twice or not at all
+        sure = [kernel.decode_batch(pa, *(np.stack([a[t], a[t]]) for a in batch))[1] for t in range(200)]
+        assert set(sure) == {0, 2}
+        lone, certified = sure.index(0), [t for t in range(200) if sure[t] == 2][:9]
+        for rows in ([lone] + certified, certified + [lone]):
+            block = tuple(a[rows] for a in batch)
+            dec, sure_rows = kernel.decode_batch(pa, *block)
+            assert sure_rows == 9
+            want = kernel.places[np.argmin(kernel.coefficients(pa, *block) @ kernel.table.T, axis=1)]
+            assert np.array_equal(dec, want)
 
     @pytest.mark.parametrize(
         "code, width",
@@ -725,7 +805,7 @@ class TestKernel:
         kernel, pa, batch = kernel_batch(code, 12.0, 150, seed=22)
         assert kernel.noise_path == "general"
         assert kernel.summary()["feature_width"] is None
-        dec = kernel.decode_batch(pa, *batch)
+        dec = kernel.decode_batch(pa, *batch)[0]
         assert list(dec) == reference_decisions(code, pa, batch)
 
     @pytest.mark.parametrize(
@@ -743,7 +823,7 @@ class TestKernel:
         kernel, pa, batch = kernel_batch(code, 40.0, 60, seed=31, con=con)
         assert kernel.noise_path == path
         ref = reference_decisions(code, pa, batch, con)
-        assert list(kernel.decode_batch(pa, *batch)) == ref and len(set(ref)) > 1
+        assert list(kernel.decode_batch(pa, *batch)[0]) == ref and len(set(ref)) > 1
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3))
@@ -752,7 +832,7 @@ class TestKernel:
         rng = np.random.default_rng(seed)
         code = random_compliant_code(rng, t=int(rng.integers(max(k, 2), 7)), k=k)
         kernel, pa, batch = kernel_batch(code, 12.0, 20, seed=seed)
-        assert list(kernel.decode_batch(pa, *batch)) == reference_decisions(code, pa, batch)
+        assert list(kernel.decode_batch(pa, *batch)[0]) == reference_decisions(code, pa, batch)
 
     @pytest.mark.parametrize(
         "con", [Constellation.bpsk(), Constellation.qpsk(), Constellation.qam16()], ids=lambda c: c.name
