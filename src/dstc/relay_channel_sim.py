@@ -27,12 +27,11 @@ thread count, and error counts are integers, so results are bit-identical
 under any parallelism. A chunk draws its codewords, then runs draw,
 synthesis, decoding and counting block by block in row blocks of bounded
 bytes. The batched decoder scores each trial's quadratic-form coefficients
-against one table of the candidates' monomials, and decides each group of
-symbols that the code's metric leaves apart on its own, so single-symbol
-decodable codes are decoded symbol by symbol. A large joint group is scored
-symbol by symbol first, and its joint table scores only the trials where a
-bound on the cross-symbol terms cannot certify that the symbols' best
-points are the joint ML decision. Its tables depend only on
+against a table of every symbol's points alone, so single-symbol decodable
+codes are decoded symbol by symbol. A group of symbols that the code's
+metric ties together is scored jointly only for the trials where a bound on
+the cross-symbol terms cannot certify that the symbols' best points are the
+joint ML decision. Its tables depend only on
 the code, the constellation and the CSI mode; they are built once per
 distinct content and kept in a byte-bounded cache shared by every call. While a call runs
 more than one worker, numpy's OpenBLAS is held at one thread, so the
@@ -321,18 +320,22 @@ def ml_decode(
     ch: ChannelRealization,
     pa: PowerAllocation,
 ) -> int:
-    """Exact ML codeword index; ties break to the lowest index."""
+    """Exact ML codeword index; ties break to the lowest index.
+
+    With the covariance factored as C = U U^T, the metric d^T C^-1 d of a
+    residual d = y - R x is ||U^-1 y - (U^-1 R) x||^2, so one solve against
+    the 2K + 1 columns [R | y] whitens every candidate.
+    """
     symvecs = np.asarray(symvecs, dtype=complex)
     if symvecs.ndim != 2 or symvecs.shape[0] == 0:
         raise ParameterError("codebook of symbol vectors must be a nonempty (L, K) array")
     mat = real_response_matrix(code, ch, pa)
+    white = np.linalg.solve(np.linalg.cholesky(sig.cov_real), np.column_stack([mat, real_stack(sig.y)]))
     reals = np.empty((symvecs.shape[0], 2 * code.K))
     reals[:, 0::2] = symvecs.real
     reals[:, 1::2] = symvecs.imag
-    resp = reals @ mat.T
-    d = real_stack(sig.y)[None, :] - resp
-    weighted = np.linalg.solve(sig.cov_real, d.T).T
-    metric = np.einsum("lj,lj->l", d, weighted)
+    d = white[:, -1] - reals @ white[:, :-1].T
+    metric = np.einsum("lj,lj->l", d, d)
     return int(np.argmin(metric))
 
 
@@ -470,9 +473,6 @@ def wilson_interval(k: int, n: int, z: float = _WILSON_Z) -> tuple[float, float]
 # arrays and its decode arrays (features, metric block and temporaries).
 BLOCK_BYTES = 8 << 20
 _NOISE_TOL = 1e-12
-# A joint symbol group of more candidates than this is first scored per
-# symbol under a certificate; smaller ones cost less on the joint table alone.
-_CERTIFY_ROWS = 1024
 # The certificate's rounding slack is this times W sum_c |psi_c| max|t_c|
 # over a group's W table columns. A computed dot product of W terms is
 # within W unit roundoffs of that sum in any order of summation, so 64 unit
@@ -591,23 +591,23 @@ class _Kernel:
     quadratic form ``-2 b^T x + x^T Q x`` in the 2K real symbols
     x = (Re s, Im s). So each trial is scored by one real GEMM of its
     coefficients psi (``-2 b`` and the upper triangle of Q, off-diagonal
-    entries doubled) against a table whose rows are the candidates'
-    monomials ``[x, x_j x_i]`` (j <= i, the pairs in ``monomials``). The
-    metric splits into a sum over ``symbol_groups``, the symbols that no
-    cross monomial ties to the rest, so the table holds one row per
-    candidate of each group: every symbol alone for the single-symbol
-    decodable codes, one joint group of all codewords otherwise. The kernel
-    holds no other array per codeword: the sent symbols and their digits
-    come from the codeword index.
+    entries doubled) against ``sym_table``, whose K M rows are the monomials
+    ``[x, x_j x_i]`` (j <= i, the pairs in ``monomials``) of each symbol
+    taking each point with the other symbols 0. The metric splits into a sum
+    over ``symbol_groups``, the symbols that no cross monomial ties to the
+    rest, so a symbol alone takes its best point from its own M metrics.
 
-    A joint group of more than ``_CERTIFY_ROWS`` candidates is also scored
-    on ``sym_table``, one row per symbol and point with the group's other
-    symbols 0, which gives each symbol its own metric. The group's cross
-    monomials add at most eps = |psi| @ max|t| over its cross columns to any
-    candidate, so when every symbol's best point beats its second best by
-    more than 2 eps plus twice the rounding slack, the symbols' best points
-    are the joint table's argmin (a bound-and-prune form of real-lattice ML).
-    Only the trials not so certified are scored on the group's joint rows.
+    A group of more than one symbol also has one row per candidate in
+    ``table``; ``spans`` holds each such group's rows and ``places`` each
+    row's share of the codeword index. The group's cross monomials add at
+    most eps = |psi| @ max|t| over its cross columns to any candidate, so
+    when every symbol's best point beats its second best by more than 2 eps
+    plus twice the rounding slack, the symbols' best points are the joint
+    argmin (a bound-and-prune form of real-lattice ML). Only the trials not
+    so certified are scored on the group's joint rows. The sent symbols and
+    their digits come from the codeword index, so no other array grows with
+    the codebook, and the joint rows reach one per codeword only for a
+    group of every symbol.
 
     Under the ``scalar`` and ``diagonal`` noise paths the cooperation noise
     is white within each group of slots that share a per-relay noise
@@ -622,7 +622,7 @@ class _Kernel:
 
     A chunk runs draw, synthesis, decoding and counting in row blocks of at
     most ``block_rows`` trials. ``kernel_bytes`` estimates the arrays the
-    kernel holds and builds its table from, at their peak while it is
+    kernel holds and builds its tables from, at their peak while they are
     built; a codebook past the 64-bit codeword index, or whose estimate
     exceeds half of physical memory, is refused before any table is built.
     Read-only once built, so concurrent callers may share one.
@@ -680,16 +680,14 @@ class _Kernel:
             fixed += self.linear.nbytes + self.quadratic.nbytes
         j, i = self.monomials
         width = 2 * k + len(j)
-        candidates = sum(m ** len(g) for g in self.symbol_groups)
-        row_bytes += 8 * width + 8 * candidates  # psi and the metric row
+        self.certified = tuple(g for g in self.symbol_groups if len(g) > 1)
+        joint_rows = [m ** len(g) for g in self.certified]
+        row_bytes += 8 * width + 8 * (k * m + sum(joint_rows))  # psi and the metric rows
         self.block_rows = _block_rows(row_bytes)
-        certify = [len(g) > 1 and m ** len(g) > _CERTIFY_ROWS for g in self.symbol_groups]
-        self.certified = tuple(g for g, c in zip(self.symbol_groups, certify) if c)
-        sym_rows = m * sum(map(len, self.certified))
         self.kernel_bytes = (
             fixed
-            + sum(_table_bytes(m ** len(g), len(g), width) for g in self.symbol_groups)
-            + _table_bytes(sym_rows, k, width)
+            + _table_bytes(k * m, k, width)
+            + sum(_table_bytes(rows, len(g), width) for rows, g in zip(joint_rows, self.certified))
         )
         memory = _physical_memory()
         if memory and self.kernel_bytes > memory // 2:
@@ -707,36 +705,32 @@ class _Kernel:
         self.bitdist = np.array(
             [[bin(la ^ lb).count("1") for lb in labels] for la in labels], dtype=np.int64
         )
-        # One table segment per symbol group, one row per candidate of the group: the
+        # every symbol in turn taking each point, the other symbols 0
+        sym = np.zeros((k * m, k), dtype=complex)
+        sym[np.arange(k * m), np.repeat(np.arange(k), m)] = np.tile(self.points, k)
+        self.sym_table = _monomial_table(sym, self.monomials)
+        # One table segment per multi-symbol group, one row per candidate of the group: the
         # group's symbols take their candidate's points and every other symbol is 0.
-        # ``places`` holds each candidate's share of the codeword index. The groups
-        # scored on the joint table for every trial lead, in its first ``direct_rows`` rows.
-        self.table = np.empty((candidates, width))  # the GEMM reads its transpose
-        self.places = np.empty(candidates, dtype=np.intp)
-        self.spans = [None] * len(self.symbol_groups)  # each group's rows of the table
+        # ``places`` holds each candidate's share of the codeword index.
+        self.table = np.empty((sum(joint_rows), width))  # the GEMM reads its transpose
+        self.places = np.empty(len(self.table), dtype=np.intp)
+        self.spans = []  # each multi-symbol group's rows of the table
         lo = 0
-        for gi in sorted(range(len(certify)), key=certify.__getitem__):
-            grp = self.symbol_groups[gi]
+        for grp in self.certified:
             digits = _digit_grid(m, len(grp))
             hi = lo + len(digits)
             sym = np.zeros((len(digits), k), dtype=complex)
             sym[:, grp] = self.points[digits]
             _monomial_table(sym, self.monomials, out=self.table[lo:hi])
             self.places[lo:hi] = digits @ self.place[list(grp)]
-            self.spans[gi] = (lo, hi)
+            self.spans.append((lo, hi))
             lo = hi
-        self.direct_rows = candidates - sum(m ** len(g) for g in self.certified)
-        # the certified groups' symbols in turn, each taking every point
-        syms = np.array([s for g in self.certified for s in g], dtype=np.intp)
-        sym = np.zeros((sym_rows, k), dtype=complex)
-        sym[np.arange(sym_rows), np.repeat(syms, m)] = np.tile(self.points, len(syms))
-        self.sym_table = _monomial_table(sym, self.monomials)
-        # |psi| @ margins.T is each certified group's eps plus its rounding slack: every column's
-        # largest |entry| counts in full on the group's cross monomials and as slack on all its columns
+        # |psi| @ margins.T is 2 (eps + slack) of each multi-symbol group: every column's largest
+        # |entry| counts in full on the group's cross monomials and as slack on all its columns
         xmax = np.repeat([np.abs(self.points.real).max(), np.abs(self.points.imag).max()], k)
         top = np.concatenate([xmax, xmax[j] * xmax[i]])
         owner, partner = np.concatenate([np.arange(2 * k), j]) % k, np.concatenate([np.arange(2 * k), i]) % k
-        per_unit = top * ((owner != partner) + _GEMM_SLACK * width)
+        per_unit = 2.0 * top * ((owner != partner) + _GEMM_SLACK * width)
         self.margins = np.array([np.isin(owner, g) * per_unit for g in self.certified]).reshape(-1, width)
 
     @property
@@ -857,41 +851,36 @@ class _Kernel:
         return psi
 
     def decode_batch(self, pa: PowerAllocation, g0, g, f, y1, y2) -> tuple[np.ndarray, int]:
-        """Exact ML decisions, and how many trials every certified group decided per symbol.
+        """Exact ML decisions, and how many trials every multi-symbol group decided per symbol.
 
-        The groups on the joint table take their best candidate from one real
-        GEMM of psi against its leading rows. A certified group takes each
-        symbol's best point from psi @ sym_table.T where the certificate holds,
-        and its best joint candidate elsewhere.
+        Each symbol takes its best point from one real GEMM of psi against
+        ``sym_table``. A multi-symbol group keeps its symbols' best points
+        where the certificate holds and takes its best joint candidate
+        elsewhere.
         """
         psi = self.coefficients(pa, g0, g, f, y1, y2)
         n = len(psi)
-        dec = np.zeros(n, dtype=np.intp)
+        per_symbol = (psi @ self.sym_table.T).reshape(n, self.t1, self.m)
+        best = np.argmin(per_symbol, axis=2)
+        dec = best @ self.place
         sure = np.full(n, bool(self.certified))
-        if self.direct_rows:
-            metric = psi @ self.table[: self.direct_rows].T
-            for lo, hi in self.spans:
-                if hi <= self.direct_rows:
-                    dec += self.places[lo + np.argmin(metric[:, lo:hi], axis=1)]
         if self.certified:
-            per_symbol = (psi @ self.sym_table.T).reshape(n, -1, self.m)  # (n, symbols, M)
-            best = np.argmin(per_symbol, axis=2)
-            low = np.partition(per_symbol, 1, axis=2)
-            gap = low[:, :, 1] - low[:, :, 0]
-            margin = 2.0 * (np.abs(psi) @ self.margins.T)  # (n, certified groups)
-            first = 0
-            for c, grp in enumerate(self.certified):
-                mine = slice(first, first + len(grp))
-                first = mine.stop
-                ok = np.all(gap[:, mine] > margin[:, c : c + 1], axis=1)
-                share = best[:, mine] @ self.place[list(grp)]
+            # each symbol's best-to-second gap, from the two smallest of its M metrics
+            lo1, lo2 = per_symbol[:, :, 0], np.full((n, self.t1), np.inf)
+            for col in per_symbol.transpose(2, 0, 1)[1:]:
+                lo2 = np.minimum(lo2, np.maximum(lo1, col))
+                lo1 = np.minimum(lo1, col)
+            gap = lo2 - lo1
+            margin = np.abs(psi) @ self.margins.T  # (n, multi-symbol groups)
+            for c, (grp, (lo, hi)) in enumerate(zip(self.certified, self.spans)):
+                grp = list(grp)
+                ok = np.all(gap[:, grp] > margin[:, c : c + 1], axis=1)
                 rest = np.flatnonzero(~ok)
                 if len(rest) == 1 and n > 1:  # BLAS would score a single row as a matrix-vector product
                     rest = np.append(rest, (rest[0] + 1) % n)  # a certified row, whose joint decision is its own
-                if len(rest):
-                    lo, hi = self.spans[self.symbol_groups.index(grp)]
-                    share[rest] = self.places[lo + np.argmin(psi[rest] @ self.table[lo:hi].T, axis=1)]
-                dec += share
+                if len(rest):  # the group's share of the index becomes its best joint candidate's
+                    joint = self.places[lo + np.argmin(psi[rest] @ self.table[lo:hi].T, axis=1)]
+                    dec[rest] += joint - best[np.ix_(rest, grp)] @ self.place[grp]
                 sure &= ok
         return dec, int(np.count_nonzero(sure))
 
@@ -1033,8 +1022,8 @@ def monte_carlo_ber(cfg: SimConfig, telemetry: dict | None = None) -> list[BerPo
     and ``snr_points``: per SNR point its ``trials``, ``wall_s`` (from the
     start of its first chunk to the end of its last, across workers),
     ``trials_per_s`` and ``certified_frac``, the share of trials that every
-    certified symbol group decided per symbol (None when the kernel has no
-    certified group).
+    multi-symbol group decided per symbol (None when every group is a
+    single symbol).
     """
     kernel, build_s, reused = _cached_kernel(cfg.code, cfg.constellation, cfg.partial_csi)
     pas = cfg.power_allocations()

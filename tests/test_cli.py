@@ -162,8 +162,8 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "family, path, groups, width, candidates, symbols, certified, per_symbol",
         [
-            ("alamouti", "scalar", 1, 8, 8, [[0], [1]], [], 0),
-            ("cod8", "diagonal", 8, 40, 256, [[0, 1, 2, 3]], [], 0),
+            ("alamouti", "scalar", 1, 8, 0, [[0], [1]], [], 8),
+            ("cod8", "diagonal", 8, 40, 256, [[0, 1, 2, 3]], [[0, 1, 2, 3]], 16),
             ("cuw8", "diagonal", 4, 78, 4096, [list(range(6))], [list(range(6))], 24),
         ],
         ids=["alamouti-scalar-1-8-8", "cod8-diagonal-8-40-256", "cuw8-diagonal-4-78-4096"],
@@ -243,11 +243,12 @@ class TestSimulate:
         assert err.startswith("error: 16777216 codewords need about") and err.count("\n") == 1
 
     def test_codebook_size_is_bounded_by_the_codeword_index_only(self, tmp_path, capsys):
-        # cuw4 x2 on 16-QAM: 4.3 G codewords, decoded symbol by symbol from a 128-row table
+        # cuw4 x2 on 16-QAM: 4.3 G codewords, decoded symbol by symbol from a 128-row table and no joint row
         args = ["simulate", "--family", "cuw4", "--constellation", "qam16", "--trials", "16", "--out", tmp_path / "x"]
         assert run(args + ["--blocks", "2"]) == 0
-        manifest = json.loads((tmp_path / "x.manifest.json").read_text())
-        assert manifest["decoder"]["codewords"] == 16**8 and manifest["decoder"]["decode_candidates"] == 128
+        decoder = json.loads((tmp_path / "x.manifest.json").read_text())["decoder"]
+        assert decoder["codewords"] == 16**8 and decoder["per_symbol_candidates"] == 128
+        assert decoder["decode_candidates"] == 0
         capsys.readouterr()
         # x4: 16**16 codewords, past the 64-bit codeword index
         assert run(args + ["--blocks", "4"]) == 2

@@ -1,10 +1,12 @@
 import dataclasses
+import json
 import re
 import sys
 import threading
 import time
 import tracemalloc
 from collections import OrderedDict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -448,14 +450,23 @@ COUPLED_CODES = [square_cod(4), square_cod(8), cuw_ssd(8), gciod(square_cod(4), 
 
 
 def codeword_metrics(kernel, pa, batch):
-    """The kernel's GEMM metric of every codeword, its symbol groups' metrics summed: (n, L)."""
-    per_candidate = kernel.coefficients(pa, *batch) @ kernel.table.T
-    m = len(kernel.bitdist)  # the constellation size
+    """The kernel's GEMM metric of every codeword, its symbol groups' metrics summed: (n, L).
+
+    A lone symbol's metric is its row of ``sym_table``, a multi-symbol group's its joint row of ``table``.
+    """
+    psi = kernel.coefficients(pa, *batch)
+    per_symbol = (psi @ kernel.sym_table.T).reshape(len(psi), -1, kernel.m)
+    joint = psi @ kernel.table.T
+    spans = dict(zip(kernel.certified, kernel.spans))
     digits = kernel.symbol_digits(np.arange(kernel.L))
-    out = np.zeros((len(per_candidate), kernel.L))
-    for grp, (lo, hi) in zip(kernel.symbol_groups, kernel.spans):
-        candidate = digits[:, list(grp)] @ (m ** np.arange(len(grp))[::-1])
-        out += per_candidate[:, lo:hi][:, candidate]
+    out = np.zeros((len(psi), kernel.L))
+    for grp in kernel.symbol_groups:
+        if grp in spans:
+            lo, hi = spans[grp]
+            candidate = digits[:, list(grp)] @ (kernel.m ** np.arange(len(grp))[::-1])
+            out += joint[:, lo:hi][:, candidate]
+        else:
+            out += per_symbol[:, grp[0], digits[:, grp[0]]]
     return out
 
 
@@ -594,7 +605,8 @@ class TestKernel:
             summary = kernel.summary()
             assert summary["noise_groups"] == groups and summary["codewords"] == 4**code.K
             assert summary["symbol_groups"] == symbols
-            assert summary["decode_candidates"] == sum(4 ** len(g) for g in symbols)
+            assert summary["decode_candidates"] == sum(4 ** len(g) for g in symbols if len(g) > 1)
+            assert summary["per_symbol_candidates"] == 4 * code.K
             assert summary["block_rows"] >= 3
         kernel, _, _ = kernel_batch(square_cod(8), 10.0, 2, seed=27)
         table = kernel.table
@@ -602,9 +614,10 @@ class TestKernel:
         # the diagonal path keeps no monomial that is zero for every codeword
         assert np.all(np.any(table != 0, axis=0))
         assert table.shape[1] < 8 + 36  # [x, x_j x_i]: 4 of the 36 products are never weighed
-        # a decoupled code holds one table row per symbol value, none per codeword
+        # a decoupled code holds one per-symbol row per symbol value, no joint row and none per codeword
         kernel, _, _ = kernel_batch(block_diagonal_extend(cuw_ssd(4), 2), 10.0, 2, seed=27)
-        assert kernel.L == 65536 and kernel.table.shape == (8 * 4, kernel.summary()["feature_width"])
+        assert kernel.L == 65536 and kernel.sym_table.shape == (8 * 4, kernel.summary()["feature_width"])
+        assert kernel.table.shape == (0, kernel.summary()["feature_width"])
 
     @pytest.mark.parametrize(
         "code, con",
@@ -615,7 +628,7 @@ class TestKernel:
     def test_symbol_groups_decide_as_the_joint_table(self, code, con):
         kernel = _Kernel(code, con, partial_csi=True)
         assert kernel.symbol_groups == tuple((m,) for m in range(code.K))
-        assert len(kernel.table) == code.K * con.size
+        assert len(kernel.sym_table) == code.K * con.size and len(kernel.table) == 0
         joint = _monomial_table(codebook_symbol_vectors(code, con)[0], kernel.monomials)
         n = 120 if kernel.L > 4096 else 400
         for p in (3.0, 30.0, 1000.0):
@@ -650,10 +663,9 @@ class TestKernel:
         assert min(rates) < 1.0 and max(rates) > 0.5
 
     @pytest.mark.parametrize("code", [square_cod(4), square_cod(8)], ids=["cod4", "cod8"])
-    def test_small_groups_certified_match_the_oracle(self, code, monkeypatch):
-        monkeypatch.setattr(relay_channel_sim, "_CERTIFY_ROWS", 0)
+    def test_small_groups_certified_match_the_oracle(self, code):
         kernel, pa, batch = kernel_batch(code, 10.0, 150, seed=33)
-        assert kernel.certified == kernel.symbol_groups and kernel.direct_rows == 0
+        assert kernel.certified == kernel.symbol_groups and kernel.spans == [(0, kernel.L)]
         dec, sure = kernel.decode_batch(pa, *batch)
         assert list(dec) == reference_decisions(code, pa, batch)
         assert 0 < sure < 150
@@ -663,15 +675,13 @@ class TestKernel:
     def test_random_codes_certified_match_the_oracle(self, seed, k):
         rng = np.random.default_rng(seed)
         code = random_compliant_code(rng, t=int(rng.integers(k, 7)), k=k)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(relay_channel_sim, "_CERTIFY_ROWS", 0)
-            kernel, pa, batch = kernel_batch(code, 12.0, 20, seed=seed)
+        kernel, pa, batch = kernel_batch(code, 12.0, 20, seed=seed)
         assert kernel.certified == kernel.symbol_groups == (tuple(range(k)),)
         assert list(kernel.decode_batch(pa, *batch)[0]) == reference_decisions(code, pa, batch)
 
-    def test_joint_and_certified_groups_together_match_the_oracle(self, monkeypatch):
-        # cod8 beside alamouti on their own relays: with the cut below 256 rows, cod8's group is
-        # certified while alamouti's symbols stay on the joint table, whose leading rows they take
+    def test_joint_and_certified_groups_together_match_the_oracle(self):
+        # cod8 beside alamouti on their own relays: cod8's group is certified and has the joint rows,
+        # while alamouti's symbols are decided on their per-symbol rows alone
         parts = (square_cod(8), alamouti())
         t, n = sum(c.T for c in parts), sum(c.N for c in parts)
         weights = ([], [])
@@ -684,10 +694,9 @@ class TestKernel:
                     out.append(full)
             at = [at[0] + c.T, at[1] + c.N]
         code = LinearDispersionCode(tuple(weights[0]), tuple(weights[1]), name="cod8+alamouti")
-        monkeypatch.setattr(relay_channel_sim, "_CERTIFY_ROWS", 100)
         kernel, pa, batch = kernel_batch(code, 10.0, 60, seed=35)
         assert kernel.symbol_groups == ((0, 1, 2, 3), (4,), (5,)) and kernel.certified == ((0, 1, 2, 3),)
-        assert kernel.direct_rows == 8 and kernel.spans == [(8, 8 + 256), (0, 4), (4, 8)]
+        assert len(kernel.sym_table) == 6 * 4 and kernel.spans == [(0, 256)] and len(kernel.table) == 256
         dec, sure = kernel.decode_batch(pa, *batch)
         assert list(dec) == reference_decisions(code, pa, batch) and 0 < sure < 60
 
@@ -731,11 +740,12 @@ class TestKernel:
         # symbols and digits come from the codeword index; only a joint group's table has a row per codeword
         kernel = _Kernel(code, Constellation.qpsk(), partial_csi=True)
         per_codeword = [v for v in vars(kernel).values() if isinstance(v, np.ndarray) and len(v) == kernel.L]
+        assert len(kernel.sym_table) == code.K * 4
         if joint:
             assert len(kernel.table) == len(kernel.places) == kernel.L
             assert all(v is kernel.table or v is kernel.places for v in per_codeword)
         else:
-            assert per_codeword == [] and len(kernel.table) == code.K * 4
+            assert per_codeword == [] and len(kernel.table) == len(kernel.places) == 0
         idx = np.arange(kernel.L)
         assert np.array_equal(kernel.symbol_digits(idx), codebook_symbol_vectors(code, Constellation.qpsk())[1])
         assert kernel.nbytes <= kernel.kernel_bytes
@@ -825,6 +835,21 @@ class TestKernel:
         ref = reference_decisions(code, pa, batch, con)
         assert list(kernel.decode_batch(pa, *batch)[0]) == ref and len(set(ref)) > 1
 
+    @pytest.mark.parametrize("code, joint", [(square_cod(4), True), (alamouti(), False)], ids=["cod4", "alamouti"])
+    def test_qam16_per_symbol_decisions_match_the_oracle(self, code, joint):
+        # cod4's one group has 4096 joint rows on 16-QAM, the fallback of the trials left uncertified
+        con = Constellation.qam16()
+        kernel = _Kernel(code, con, partial_csi=True)
+        assert len(kernel.table) == (16**3 if joint else 0) and len(kernel.sym_table) == code.K * 16
+        sure = []
+        for snr in (0.0, 20.0):
+            _, pa, batch = kernel_batch(code, 10 ** (snr / 10), 100, seed=36, con=con, kernel=kernel)
+            dec, certified = kernel.decode_batch(pa, *batch)
+            assert list(dec) == reference_decisions(code, pa, batch, con)
+            sure.append(certified)
+        # with joint rows both paths ran: some trials certified, some scored on the joint rows
+        assert 0 < sum(sure) < 200 if joint else sure == [0, 0]
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3))
     def test_random_compliant_codes_match_reference(self, seed, k):
@@ -898,6 +923,23 @@ class TestMonteCarlo:
             finally:
                 put(original)
             assert counts[0] == counts[1] and counts[0][0] == one
+
+    def test_seed_zero_pins_of_the_benchmark(self):
+        # the counts perfbench/reference.json pins: QPSK, seed 0, two workers, two chunks per point
+        pins = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text())["sim"]
+        chunks = {
+            "alamouti@25dB": 131072, "alamouti@30dB": 131072, "alamouti@35dB": 131072, "clifford4@20dB": 131072,
+            "cod8@10dB": 1024, "cod8@15dB": 1024, "cuw8@10dB": 128, "cuw8@15dB": 128,
+        }  # fmt: skip
+        assert set(pins) == set(chunks)
+        for label, chunk in chunks.items():
+            family, snr = label.removesuffix("dB").split("@")
+            cfg = SimConfig(
+                code=FAMILIES[family](), constellation=Constellation.qpsk(), snr_db=(float(snr),),
+                trials=(2 * chunk,), seed=0, chunk=chunk, threads=2,
+            )  # fmt: skip
+            (point,) = monte_carlo_ber(cfg)
+            assert {"cw": point.cw_errors, "bits": point.bit_errors} == pins[label], label
 
     def test_one_pool_per_call_and_none_for_one_chunk(self, monkeypatch):
         pools = []
