@@ -231,6 +231,32 @@ def _ranks(mats: np.ndarray, tol: float) -> np.ndarray:
     return (s > tol * np.maximum(s[:, :1], 1e-300)).sum(axis=1)
 
 
+def _det_criteria(mats: np.ndarray) -> np.ndarray:
+    """The determinant criterion of each matrix of a stack: |det D|^2 if square, |det(D^H D)| otherwise."""
+    if mats.shape[1] == mats.shape[2]:
+        return np.abs(np.linalg.det(mats)) ** 2
+    grams = np.einsum("lta,ltb->lab", mats.conj(), mats)
+    return np.abs(np.linalg.det(grams))
+
+
+def _min_rank(mats: np.ndarray, dets: np.ndarray, tol: float) -> int:
+    """Minimum of ``_ranks`` over a stack, given each matrix's ``_det_criteria``.
+
+    For a square D with N columns, s_max <= ||D||_F and |det D| = prod_k s_k,
+    so |det D|^2 > (2 tol)^2 ||D||_F^(2N) proves s_min > 2 tol s_max: full
+    rank under ``_ranks``' rule. The factor 2 covers the rounding of the
+    determinant and of the SVD while ``tol`` is far above N times the machine
+    epsilon, so smaller tolerances get no certificate. Only the matrices it
+    leaves go through the SVD. Non-square stacks get none either: a wide
+    D^H D is singular, and the rounding of a tall one's Gram determinant
+    (about eps ||D||_F^(2N)) exceeds the bound.
+    """
+    n = mats.shape[2]
+    if mats.shape[1] == n and tol > 64 * n * np.finfo(float).eps:
+        mats = mats[~(dets > (2 * tol) ** 2 * np.einsum("lij,lij->l", mats.conj(), mats).real ** n)]
+    return int(_ranks(mats, tol).min()) if len(mats) else min(mats.shape[1:])
+
+
 @dataclass(frozen=True)
 class CodebookAnalysis:
     n_codewords: int
@@ -245,7 +271,8 @@ def analyze_codebook(codebook, tol: float = RANK_TOL, budget: int = PAIR_SCAN_BU
 
     The determinant criterion is |det(dS)|^2 for square differences and
     |det(dS^H dS)| otherwise. ``worst_pair`` is the first pair attaining the
-    minimum determinant.
+    minimum determinant. A square difference whose determinant certifies
+    full rank skips the SVD (``_min_rank``).
     """
     check_tol(tol, "rank tolerance")
     cb = np.asarray(codebook, dtype=complex)
@@ -265,16 +292,11 @@ def analyze_codebook(codebook, tol: float = RANK_TOL, budget: int = PAIR_SCAN_BU
     worst = (0, 1)
     for i in range(L - 1):
         diffs = cb[i + 1 :] - cb[i]
-        ranks = _ranks(diffs, tol)
-        if T == N:
-            dets = np.abs(np.linalg.det(diffs)) ** 2
-        else:
-            grams = np.einsum("lta,ltb->lab", diffs.conj(), diffs)
-            dets = np.abs(np.linalg.det(grams))
+        dets = _det_criteria(diffs)
         j = int(np.argmin(dets))
         if dets[j] < min_det:
             min_det, worst = float(dets[j]), (i, i + 1 + j)
-        min_rank = min(min_rank, int(ranks.min()))
+        min_rank = min(min_rank, _min_rank(diffs, dets, tol))
     full_rank = min_rank == full
     if not full_rank:
         min_det = 0.0
@@ -317,7 +339,7 @@ def min_rank_group_differences(
     min_rank = min(code.T, code.N)
     for group in spec.groups:
         mats = np.einsum("dk,ktn->dtn", diffs, weights[list(group)])
-        min_rank = min(min_rank, int(_ranks(mats, tol).min()))
+        min_rank = min(min_rank, _min_rank(mats, _det_criteria(mats), tol))
     return min_rank
 
 
@@ -377,14 +399,8 @@ def optimize_rotation(
     if lam not in (2, 4):
         raise ParameterError(f"rotation search supports group sizes 2 and 4, got {lam}")
     diffs = nonzero_differences(per_dim_alphabet, lam)
-    rng = np.random.default_rng(seed)
-    best, best_val = None, -1.0
-    candidates = _algebraic_candidates(lam)
-    for _ in range(trials):
-        q, r = np.linalg.qr(rng.standard_normal((lam, lam)))
-        candidates.append(q * np.sign(np.diag(r)))
-    for cand in candidates:
-        val = min_product_distance(cand, diffs)
-        if val > best_val:
-            best, best_val = cand, val
-    return best
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((max(trials, 0), lam, lam)))
+    signs = np.sign(np.diagonal(r, axis1=1, axis2=2))
+    candidates = np.concatenate([np.stack(_algebraic_candidates(lam)), q * signs[:, None, :]])
+    rotated = diffs @ candidates.transpose(0, 2, 1)  # (candidates, differences, lam)
+    return candidates[np.argmax(np.min(np.prod(np.abs(rotated), axis=2), axis=1))]

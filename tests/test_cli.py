@@ -166,7 +166,7 @@ class TestSimulate:
             ("cod8", "diagonal", 8, 40, 256, [[0, 1, 2, 3]], [[0, 1, 2, 3]], 16),
             ("cuw8", "diagonal", 4, 78, 4096, [list(range(6))], [list(range(6))], 24),
         ],
-        ids=["alamouti-scalar-1-8-8", "cod8-diagonal-8-40-256", "cuw8-diagonal-4-78-4096"],
+        ids=["alamouti-scalar-1-8-0", "cod8-diagonal-8-40-256", "cuw8-diagonal-4-78-4096"],
     )
     def test_manifest_records_decoder(
         self, tmp_path, monkeypatch, family, path, groups, width, candidates, symbols, certified, per_symbol

@@ -1,19 +1,30 @@
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dstc import diversity_analyzer
 from dstc.code_library import (
     alamouti,
     block_diagonal_extend,
     clifford_4x4,
     cuw_ssd,
+    gciod,
     repetition_control,
+    square_cod,
 )
 from dstc.constraint_checker import random_compliant_code
 from dstc.diversity_analyzer import (
     Constellation,
     PrecodingSpec,
+    _algebraic_candidates,
+    _det_criteria,
+    _min_rank,
+    _ranks,
     analyze_codebook,
     apply_precoding,
     constellation_by_name,
@@ -27,7 +38,7 @@ from dstc.diversity_analyzer import (
     optimize_rotation,
 )
 from dstc.errors import EnumerationBudgetError, ParameterError
-from dstc.matrix_core import rank
+from dstc.matrix_core import RANK_TOL, rank
 
 
 def naive_min_rank(codebook, tol=1e-9):
@@ -203,6 +214,22 @@ class TestRotationSearch:
         b = optimize_rotation(4, trials=60, seed=5)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("lam", [2, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    def test_batched_search_matches_the_candidate_loop(self, lam, seed):
+        diffs = nonzero_differences((-1.0, 1.0), lam)
+        rng = np.random.default_rng(seed)
+        candidates = _algebraic_candidates(lam)
+        for _ in range(200):
+            q, r = np.linalg.qr(rng.standard_normal((lam, lam)))
+            candidates.append(q * np.sign(np.diag(r)))
+        best, best_val = None, -1.0
+        for cand in candidates:  # the first candidate attaining the maximum wins
+            val = min_product_distance(cand, diffs)
+            if val > best_val:
+                best, best_val = cand, val
+        assert optimize_rotation(lam, trials=200, seed=seed).tobytes() == best.tobytes()
+
     def test_dct_iv_orthogonal(self):
         for n in (2, 4, 8):
             m = dct_iv(n)
@@ -255,3 +282,127 @@ class TestPrecoding:
         spec = PrecodingSpec.quadrature_pairs(code.K, rot)
         pre = apply_precoding(code, spec)
         assert min_rank_group_differences(code, spec) == min_rank_over_differences(pre.codewords)
+
+
+def spectrum_stack(rng, count, t, n, smallest, real):
+    """``count`` (t, n) matrices with largest singular value 1, the others in [0.5, 1], and the least ``smallest``."""
+    def orthonormal(size):
+        a = rng.standard_normal((count, size, size))
+        return np.linalg.qr(a if real else a + 1j * rng.standard_normal((count, size, size)))[0]
+
+    r = min(t, n)
+    s = np.concatenate([np.ones((count, 1)), rng.uniform(0.5, 1.0, (count, r - 2)), np.full((count, 1), smallest)], axis=1)
+    sigma = np.zeros((count, t, n))
+    sigma[:, np.arange(r), np.arange(r)] = s
+    return orthonormal(t) @ sigma @ orthonormal(n)
+
+
+class TestRankCertificate:
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # scale 1e30: infinite determinants and bounds
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        c=st.one_of(st.floats(0.9, 1.1), st.floats(1.9, 2.1)),
+        tol=st.sampled_from([RANK_TOL, 1e-6, 5e-17]),
+        scale=st.sampled_from([1.0, 1e-30, 1e30]),
+        real=st.booleans(),
+        zeros=st.integers(0, 2),
+        repeats=st.integers(0, 3),
+    )
+    def test_certified_minimum_is_the_svd_minimum(self, seed, c, tol, scale, real, zeros, repeats):
+        rng = np.random.default_rng(seed)
+        for (t, n), kind in itertools.product(
+            [(1, 1), (2, 2), (3, 3), (4, 4), (8, 8), (3, 1), (3, 2), (4, 2), (2, 3), (2, 4)],
+            ["gaussian", "threshold", "integer"],
+        ):
+            if kind == "gaussian":
+                mats = rng.standard_normal((8, t, n)) + (0 if real else 1j * rng.standard_normal((8, t, n)))
+            elif kind == "integer":
+                mats = rng.integers(-1, 2, (8, t, n)) + (0 if real else 1j * rng.integers(-1, 2, (8, t, n)))
+            elif min(t, n) > 1:  # s_min = c tol s_max: full rank by the SVD rule for c > 1, certified only beyond c = 2
+                mats = spectrum_stack(rng, 8, t, n, c * tol, real)
+            else:
+                continue
+            mats = np.concatenate([mats, np.zeros((zeros, t, n)), mats[rng.integers(0, 8, repeats)]]) * scale
+            dets, ranks = _det_criteria(mats), _ranks(mats, tol)
+            assert _min_rank(mats, dets, tol) == ranks.min(), (t, n, kind)
+            for k, want in enumerate(ranks):  # one matrix at a time, so no other decides the minimum
+                assert _min_rank(mats[k : k + 1], dets[k : k + 1], tol) == want, (t, n, kind, k)
+
+    def test_no_certificate_at_a_tolerance_near_rounding(self):
+        # rows a and k a: rank one, yet their rounded determinant passes the bound at tol 1e-17
+        rng = np.random.default_rng(2)
+        a = rng.standard_normal((400, 1, 2)) + 1j * rng.standard_normal((400, 1, 2))
+        mats = np.concatenate([a, (rng.standard_normal((400, 1, 1)) + 1j * rng.standard_normal((400, 1, 1))) * a], axis=1)
+        tol, dets, ranks = 1e-17, _det_criteria(mats), _ranks(mats, 1e-17)
+        passes = dets > (2 * tol) ** 2 * np.sum(np.abs(mats) ** 2, axis=(1, 2)) ** 2
+        assert np.any(passes & (ranks < 2))
+        for k in np.flatnonzero(passes):
+            assert _min_rank(mats[k : k + 1], dets[k : k + 1], tol) == ranks[k]
+
+    @staticmethod
+    def svd_inputs(monkeypatch):
+        seen = []
+        svd = np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            seen.append(len(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(diversity_analyzer.np.linalg, "svd", counting)
+        return seen
+
+    def test_full_rank_scan_runs_no_svd(self, monkeypatch):
+        cb = enumerate_codebook(square_cod(8), Constellation.qpsk())
+        seen = self.svd_inputs(monkeypatch)
+        res = analyze_codebook(cb)
+        assert (res.min_rank, res.full_rank) == (8, True)
+        assert sum(seen) == 0
+
+    def test_svd_sees_only_the_uncertified_differences(self, monkeypatch):
+        cb = enumerate_codebook(clifford_4x4(), Constellation.qpsk())
+        i, j = np.triu_indices(len(cb), 1)
+        diffs = cb[j] - cb[i]
+        bound = (2 * RANK_TOL) ** 2 * np.sum(np.abs(diffs) ** 2, axis=(1, 2)) ** 4
+        uncertified = int(np.sum(np.abs(np.linalg.det(diffs)) ** 2 <= bound))
+        deficient = int(np.sum(_ranks(diffs, RANK_TOL) < 4))
+        seen = self.svd_inputs(monkeypatch)
+        res = analyze_codebook(cb)
+        assert res.min_rank == 2
+        assert 0 < deficient <= uncertified == sum(seen) < len(diffs)
+
+    def test_group_scan_runs_no_svd_when_full_rank(self, monkeypatch):
+        big = block_diagonal_extend(cuw_ssd(4), 2)
+        spec = PrecodingSpec.cross_block_quadruples(big.K, optimize_rotation(4, trials=100, seed=0))
+        seen = self.svd_inputs(monkeypatch)
+        assert min_rank_group_differences(big, spec) == 8
+        assert sum(seen) == 0
+
+
+class TestBenchmarkPins:
+    def test_analysis_pins_of_the_benchmark(self):
+        # the analyses perfbench/reference.json pins, computed as its analyze-scan workload does at seed 0
+        pins = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text())["analysis"]
+        qpsk = Constellation.qpsk()
+        codes = {"cod8": square_cod(8), "ciod4": gciod(alamouti(), alamouti()), "clifford4": clifford_4x4()}
+        scans = {f"{fam}/qpsk": enumerate_codebook(code, qpsk) for fam, code in codes.items()}
+        spec = PrecodingSpec.quadrature_pairs(4, optimize_rotation(2, trials=200, seed=0))
+        scans["clifford4/rotate-g2"] = apply_precoding(clifford_4x4(), spec).codewords
+        got = {}
+        for label, cb in scans.items():
+            res = analyze_codebook(cb)
+            got[label] = {
+                "min_rank": res.min_rank, "full_rank": res.full_rank, "min_det": res.min_det,
+                "worst_pair": list(res.worst_pair),
+            }  # fmt: skip
+        big = block_diagonal_extend(cuw_ssd(4), 2)
+        spec = PrecodingSpec.cross_block_quadruples(big.K, optimize_rotation(4, trials=200, seed=0))
+        got["cuw4x2/group-rotate-g4"] = {"min_rank": min_rank_group_differences(big, spec)}
+        assert set(got) == set(pins)
+        for label, want in pins.items():
+            assert set(got[label]) == set(want), label
+            for key, value in want.items():
+                if isinstance(value, float):  # the harness compares floats to 1e-9 relative
+                    assert abs(got[label][key] - value) <= 1e-9 * max(abs(value), 1e-300), (label, key)
+                else:
+                    assert got[label][key] == value, (label, key)
