@@ -190,6 +190,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.rot_trials < 0:
+        raise ParameterError(f"--rot-trials must be nonnegative, got {args.rot_trials}")
     manifest = _manifest_path(args, "analyze")
     _check_writable(args.out, manifest)
     code = make_code(args.family, args.bundle, args.blocks, warn=True)

@@ -28,6 +28,7 @@ from .matrix_core import RANK_TOL, check_tol
 
 ENUM_BUDGET = 2**20
 PAIR_SCAN_BUDGET = 2**12
+PAM_ALPHABET = (-1.0, 1.0)  # the per-dimension values a precoding group rotates
 
 
 @dataclass(frozen=True)
@@ -160,16 +161,12 @@ def _digit_grid(base: int, length: int) -> np.ndarray:
     return np.stack(grids, axis=-1).reshape(-1, length)
 
 
-def enumerate_codebook(
-    code: LinearDispersionCode,
-    constellation: Constellation,
-    budget: int = ENUM_BUDGET,
-) -> np.ndarray:
+def enumerate_codebook(code: LinearDispersionCode, constellation: Constellation) -> np.ndarray:
     """All |constellation|^K codewords as an (L, T, N) array, deterministic order."""
     size = constellation.size**code.K
-    if size > budget:
+    if size > ENUM_BUDGET:
         raise EnumerationBudgetError(
-            f"{constellation.size}^{code.K} = {size} codewords exceeds the budget {budget}"
+            f"{constellation.size}^{code.K} = {size} codewords exceeds the budget {ENUM_BUDGET}"
         )
     digits = _digit_grid(constellation.size, code.K)
     pts = np.asarray(constellation.points)
@@ -190,28 +187,22 @@ class PrecodedCodebook:
     spec: PrecodingSpec
 
 
-def apply_precoding(
-    code: LinearDispersionCode,
-    spec: PrecodingSpec,
-    per_dim_alphabet=(-1.0, 1.0),
-    budget: int = ENUM_BUDGET,
-) -> PrecodedCodebook:
+def apply_precoding(code: LinearDispersionCode, spec: PrecodingSpec) -> PrecodedCodebook:
     """Enumerate the codebook where each group's reals are R times a PAM tuple.
 
     Group g of real-symbol indices takes the values rotation @ u over all
-    tuples u from the per-dimension alphabet; groups vary independently.
+    tuples u from ``PAM_ALPHABET``; groups vary independently.
     Codeword index is the mixed-radix number of the per-group value indices,
     first group most significant.
     """
     if len(spec.groups) * spec.lam != 2 * code.K:
         raise ParameterError("groups must cover exactly the 2K real symbols of the code")
-    alphabet = np.asarray(per_dim_alphabet, dtype=float)
-    values = np.asarray(list(itertools.product(alphabet, repeat=spec.lam)))
+    values = np.asarray(list(itertools.product(PAM_ALPHABET, repeat=spec.lam)))
     rotated = values @ np.asarray(spec.rotation, float).T  # (n_g, lam)
     n_g = rotated.shape[0]
     total = n_g ** len(spec.groups)
-    if total > budget:
-        raise EnumerationBudgetError(f"{n_g}^{len(spec.groups)} = {total} codewords exceeds the budget {budget}")
+    if total > ENUM_BUDGET:
+        raise EnumerationBudgetError(f"{n_g}^{len(spec.groups)} = {total} codewords exceeds the budget {ENUM_BUDGET}")
     digits = _digit_grid(n_g, len(spec.groups))
     reals = np.empty((total, 2 * code.K))
     for gi, group in enumerate(spec.groups):
@@ -246,13 +237,14 @@ def _min_rank(mats: np.ndarray, dets: np.ndarray, tol: float) -> int:
     so |det D|^2 > (2 tol)^2 ||D||_F^(2N) proves s_min > 2 tol s_max: full
     rank under ``_ranks``' rule. The factor 2 covers the rounding of the
     determinant and of the SVD while ``tol`` is far above N times the machine
-    epsilon, so smaller tolerances get no certificate. Only the matrices it
-    leaves go through the SVD. Non-square stacks get none either: a wide
-    D^H D is singular, and the rounding of a tall one's Gram determinant
-    (about eps ||D||_F^(2N)) exceeds the bound.
+    epsilon, so smaller tolerances get no certificate, nor does a stack whose
+    determinants are all 0. Only the matrices it leaves go through the SVD.
+    Non-square stacks get none either: a wide D^H D is singular, and the
+    rounding of a tall one's Gram determinant (about eps ||D||_F^(2N))
+    exceeds the bound.
     """
     n = mats.shape[2]
-    if mats.shape[1] == n and tol > 64 * n * np.finfo(float).eps:
+    if mats.shape[1] == n and tol > 64 * n * np.finfo(float).eps and dets.any():
         mats = mats[~(dets > (2 * tol) ** 2 * np.einsum("lij,lij->l", mats.conj(), mats).real ** n)]
     return int(_ranks(mats, tol).min()) if len(mats) else min(mats.shape[1:])
 
@@ -266,7 +258,7 @@ class CodebookAnalysis:
     worst_pair: tuple[int, int]
 
 
-def analyze_codebook(codebook, tol: float = RANK_TOL, budget: int = PAIR_SCAN_BUDGET) -> CodebookAnalysis:
+def analyze_codebook(codebook, tol: float = RANK_TOL) -> CodebookAnalysis:
     """Exhaustive O(L^2) scan of ranks and determinants of codeword differences.
 
     The determinant criterion is |det(dS)|^2 for square differences and
@@ -281,9 +273,9 @@ def analyze_codebook(codebook, tol: float = RANK_TOL, budget: int = PAIR_SCAN_BU
     L, T, N = cb.shape
     if L < 2:
         raise ParameterError("need at least two codewords")
-    if L > budget:
+    if L > PAIR_SCAN_BUDGET:
         raise EnumerationBudgetError(
-            f"full pair scan waived above {budget} codewords (got {L}); "
+            f"full pair scan waived above {PAIR_SCAN_BUDGET} codewords (got {L}); "
             "use the per-group difference scan for precoded block designs"
         )
     full = min(T, N)
@@ -303,9 +295,9 @@ def analyze_codebook(codebook, tol: float = RANK_TOL, budget: int = PAIR_SCAN_BU
     return CodebookAnalysis(L, min_rank, min_det, full_rank, worst)
 
 
-def min_rank_over_differences(codebook, tol: float = RANK_TOL, budget: int = PAIR_SCAN_BUDGET) -> int:
+def min_rank_over_differences(codebook, tol: float = RANK_TOL) -> int:
     """Minimum rank of S_i - S_j over distinct pairs (the rank half of ``analyze_codebook``)."""
-    return analyze_codebook(codebook, tol=tol, budget=budget).min_rank
+    return analyze_codebook(codebook, tol=tol).min_rank
 
 
 def min_det_over_differences(codebook, tol: float = RANK_TOL) -> tuple[float, bool]:
@@ -318,12 +310,7 @@ def min_det_over_differences(codebook, tol: float = RANK_TOL) -> tuple[float, bo
     return res.min_det, res.full_rank
 
 
-def min_rank_group_differences(
-    code: LinearDispersionCode,
-    spec: PrecodingSpec,
-    per_dim_alphabet=(-1.0, 1.0),
-    tol: float = RANK_TOL,
-) -> int:
+def min_rank_group_differences(code: LinearDispersionCode, spec: PrecodingSpec, tol: float = RANK_TOL) -> int:
     """Minimum difference rank over differences confined to one precoding group.
 
     Codeword differences decompose per group by linearity; for block-diagonal
@@ -334,7 +321,7 @@ def min_rank_group_differences(
     """
     check_tol(tol, "rank tolerance")
     # rotated tuple differences R u - R v are the rotated differences R (u - v)
-    diffs = nonzero_differences(per_dim_alphabet, spec.lam) @ np.asarray(spec.rotation, float).T
+    diffs = nonzero_differences(PAM_ALPHABET, spec.lam) @ np.asarray(spec.rotation, float).T
     weights = code.real_weights()
     min_rank = min(code.T, code.N)
     for group in spec.groups:
@@ -384,21 +371,16 @@ def min_product_distance(rotation, diffs) -> float:
     return float(np.min(np.prod(np.abs(rotated), axis=1)))
 
 
-def optimize_rotation(
-    lam: int,
-    trials: int = 200,
-    seed: int = 0,
-    per_dim_alphabet=(-1.0, 1.0),
-) -> np.ndarray:
+def optimize_rotation(lam: int, trials: int = 200, seed: int = 0) -> np.ndarray:
     """Orthogonal rotation maximizing the minimum product distance.
 
     Evaluates known algebraic candidates plus ``trials`` seeded random
-    orthogonal matrices over the exhaustive difference set of the
-    per-dimension alphabet; deterministic given the seed.
+    orthogonal matrices over the exhaustive difference set of
+    ``PAM_ALPHABET``; deterministic given the seed.
     """
     if lam not in (2, 4):
         raise ParameterError(f"rotation search supports group sizes 2 and 4, got {lam}")
-    diffs = nonzero_differences(per_dim_alphabet, lam)
+    diffs = nonzero_differences(PAM_ALPHABET, lam)
     q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((max(trials, 0), lam, lam)))
     signs = np.sign(np.diagonal(r, axis1=1, axis2=2))
     candidates = np.concatenate([np.stack(_algebraic_candidates(lam)), q * signs[:, None, :]])

@@ -630,18 +630,19 @@ class _Kernel:
 
     def __init__(self, code: LinearDispersionCode, con: Constellation, partial_csi: bool):
         self.partial_csi = partial_csi
-        pairs = scaled_relay_pairs(code)
-        a = np.stack([p.a for p in pairs])  # (R, T2, T1)
-        b = np.stack([p.b for p in pairs])
-        self.r, self.t2, self.t1 = r, t2, k = a.shape
+        self.r, self.t2, self.t1 = r, t2, k = code.N, code.T, code.K
         self.m, self.L = m, codewords = con.size, con.size**k
         if codewords >= 1 << 63:
             raise ParameterError(f"{codewords} codewords do not fit a 64-bit codeword index")
-        resp = _relay_columns(pairs, np.concatenate([np.eye(k), 1j * np.eye(k)]))  # (2K, T2, R): per unit of x
-        # Diagonal dispersion Grams Z_r Z_r^T with equal real and imaginary halves keep the
-        # forwarded noise proper and white per slot; slots are then grouped by their per-relay
-        # diagonal. Anything else takes the general path.
-        zz = np.stack([z @ z.T for z in map(dispersion_matrix, pairs)])
+        resp = _relay_columns(scaled_relay_pairs(code), np.concatenate([np.eye(k), 1j * np.eye(k)]))  # (2K, T2, R)
+        # the one relay map: relay r's cooperation response per unit of each real symbol x_j, (R, 2K T2)
+        self.resp = np.ascontiguousarray(resp.reshape(2 * k * t2, r).T)
+        # Z_r, stacking [Re; Im] of relay r's response, sends x to its stacked column. Diagonal
+        # Grams Z_r Z_r^T with equal real and imaginary halves keep the forwarded noise proper and
+        # white per slot; slots are then grouped by their per-relay diagonal. Anything else takes
+        # the general path.
+        z = np.concatenate([resp.real, resp.imag], axis=1).transpose(2, 1, 0)  # (R, 2T2, 2K)
+        zz = np.stack([zr @ zr.T for zr in np.ascontiguousarray(z)])
         diag = np.diagonal(zz, axis1=1, axis2=2)  # (R, 2T2)
         off = np.max(np.abs(zz - diag[:, :, None] * np.eye(2 * t2)))
         d_re = diag[:, :t2]
@@ -649,7 +650,7 @@ class _Kernel:
         # products with g) and the counting gathers
         draws = 1 + 2 * r + k + r * k + t2
         row_bytes = 16 * (draws + 3 * k + 5 * r * k + 4 * t2) + 40 * k
-        # held whatever the code: the relay matrices and the bit-distance table
+        # held whatever the code: the relay map and the bit-distance table
         fixed = 32 * r * t2 * k + 8 * m * m
         if off > _NOISE_TOL or np.max(np.abs(d_re - diag[:, t2:])) > _NOISE_TOL:
             self.noise_path, self.slot_groups = "general", ()
@@ -660,8 +661,6 @@ class _Kernel:
             row_bytes += 48 * k * t2 + 24 * d * (d + 2 * k + 1) + 32 * k * k
             fixed += 24 * r * d * d + 32 * k * t2 * r
             self.gen_zz = zz
-            # the cooperation response of Re s_j and Im s_j per unit relay gain: (R, 2K T2)
-            self.gen_resp = np.ascontiguousarray(resp.reshape(2 * k * t2, r).T)
         else:
             # each slot joins the group of the first slot with the same diagonal
             first = np.argmax(np.max(np.abs(d_re[:, :, None] - d_re[:, None, :]), axis=0) <= _NOISE_TOL, axis=0)
@@ -695,8 +694,6 @@ class _Kernel:
                 f"{codewords} codewords need about {self.kernel_bytes / 2**30:.1f} GiB to simulate, "
                 f"more than half of the {memory / 2**30:.1f} GiB of memory"
             )
-        self.a_flat = a.transpose(1, 0, 2).reshape(t2, -1)  # (T2, R*T1)
-        self.b_flat = b.transpose(1, 0, 2).reshape(t2, -1)
         self.points = _symbol_scale(code, con) * np.asarray(con.points)
         self.place = m ** np.arange(k - 1, -1, -1)  # each symbol's digit weight in the index
         self.squares = 2 * k + np.flatnonzero(j == i)  # psi's columns of the monomials x_j^2
@@ -784,10 +781,9 @@ class _Kernel:
         s = self.points[self.symbol_digits(idx)]
         y1 = c1 * g0[:, None] * s + w1
         rx = (c1 * f)[:, :, None] * s[:, None, :] + v  # what each relay receives
-        # sum_r g_r (A_r rx_r + B_r rx_r*) as two gemms over the (r, s) axes
-        grx = (g[:, :, None] * rx).reshape(n, -1)
-        grxc = (g[:, :, None] * np.conj(rx)).reshape(n, -1)
-        y2 = pa.relay_gain * (grx @ self.a_flat.T + grxc @ self.b_flat.T) + w2
+        # sum_r g_r (A_r rx_r + B_r rx_r*) is real-linear in (Re rx, Im rx): one gemm over the (r, x) axes
+        grx = (g[:, :, None] * np.concatenate([rx.real, rx.imag], axis=2)).reshape(n, -1)
+        y2 = pa.relay_gain * (grx @ self.resp.reshape(-1, self.t2)) + w2
         return g0, g, f, y1, y2
 
     def _proper_coefficients(self, pa: PowerAllocation, g, f, y2) -> np.ndarray:
@@ -821,7 +817,7 @@ class _Kernel:
         """
         n, k = len(g), self.t1
         c2 = pa.combined_scale
-        resp = ((g * f) @ self.gen_resp).reshape(n, 2 * k, self.t2)  # decoder model h = g f
+        resp = ((g * f) @ self.resp).reshape(n, 2 * k, self.t2)  # decoder model h = g f
         rt = c2 * np.concatenate([resp.real, resp.imag], axis=2)  # (n, 2K, 2T2): R^T
         cov = _cooperation_covariance(self.gen_zz, g, pa.relay_gain_sq)
         y2r = np.concatenate([y2.real, y2.imag], axis=1)

@@ -11,7 +11,7 @@ import pytest
 from dstc import cli, relay_channel_sim
 from dstc.cli import main
 from dstc.code_library import alamouti, block_diagonal_extend, cuw_ssd, load_bundle, to_bundle
-from dstc.diversity_analyzer import Constellation
+from dstc.diversity_analyzer import Constellation, optimize_rotation
 from dstc.errors import ParameterError
 
 
@@ -109,6 +109,12 @@ class TestAnalyze:
         )
         manifest = json.loads((tmp_path / "analyze.manifest.json").read_text())
         assert manifest["content_hashes"]["rotation"]
+
+    def test_zero_rotation_trials_search_the_algebraic_candidates(self, tmp_path, capsys):
+        args = ["analyze", "--family", "clifford4", "--rotate", "--rot-trials", 0, "--out", tmp_path / "a.json"]
+        assert run(args) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert np.array_equal(doc["rotation"], optimize_rotation(2, trials=0, seed=0))
 
     def test_imported_non_compliant_bundle_warns_but_runs(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -411,9 +417,10 @@ class TestFlagsAndBadInput:
             ["simulate", "--family", "alamouti", "--trials", "10", "--blocks", "0"],
             ["construct", "--family", "alamouti", "--blocks", "-1"],
             ["dmg", "--relays", "0", "--samples", "100"],
+            ["analyze", "--family", "clifford4", "--rotate", "--rot-trials", "-5"],
         ],
         ids=["tol-rank-negative", "tol-rank-nan", "tol-diag-nan", "pi-nan", "snr-nan", "snr-overflow", "blocks-0",
-             "blocks-negative", "relays-0"],
+             "blocks-negative", "relays-0", "rot-trials-negative"],
     )
     def test_bad_input_exits_two_with_one_line(self, tmp_path, capsys, args):
         assert run([*args, "--out", tmp_path / "x"]) == 2

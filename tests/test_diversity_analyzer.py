@@ -313,10 +313,12 @@ class TestRankCertificate:
         rng = np.random.default_rng(seed)
         for (t, n), kind in itertools.product(
             [(1, 1), (2, 2), (3, 3), (4, 4), (8, 8), (3, 1), (3, 2), (4, 2), (2, 3), (2, 4)],
-            ["gaussian", "threshold", "integer"],
+            ["gaussian", "threshold", "integer", "singular"],
         ):
-            if kind == "gaussian":
+            if kind in ("gaussian", "singular"):
                 mats = rng.standard_normal((8, t, n)) + (0 if real else 1j * rng.standard_normal((8, t, n)))
+                if kind == "singular":  # a zero column: every determinant is exactly 0
+                    mats[:, :, -1] = 0
             elif kind == "integer":
                 mats = rng.integers(-1, 2, (8, t, n)) + (0 if real else 1j * rng.integers(-1, 2, (8, t, n)))
             elif min(t, n) > 1:  # s_min = c tol s_max: full rank by the SVD rule for c > 1, certified only beyond c = 2
@@ -339,6 +341,23 @@ class TestRankCertificate:
         assert np.any(passes & (ranks < 2))
         for k in np.flatnonzero(passes):
             assert _min_rank(mats[k : k + 1], dets[k : k + 1], tol) == ranks[k]
+
+    def test_all_zero_determinants_skip_the_bound(self, monkeypatch):
+        # no row of a stack whose determinants are all 0 can pass the bound, so its norms are not computed
+        rng = np.random.default_rng(4)
+        mats = rng.integers(-1, 2, (12, 3, 3)) + 1j * rng.integers(-1, 2, (12, 3, 3))
+        mats[:, :, 0] = 0
+        dets = _det_criteria(mats)
+        assert not dets.any()
+        einsum, calls = np.einsum, []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(diversity_analyzer.np, "einsum", counting)
+        assert _min_rank(mats, dets, RANK_TOL) == _ranks(mats, RANK_TOL).min()
+        assert calls == []
 
     @staticmethod
     def svd_inputs(monkeypatch):

@@ -494,7 +494,54 @@ class ChannelsOnly:
         return block
 
 
+class Recording:
+    """A generator stand-in that keeps a copy of each normal block it hands out."""
+
+    def __init__(self, seed: int):
+        self.rng = np.random.default_rng(seed)
+        self.blocks = []
+
+    def standard_normal(self, shape):
+        self.blocks.append(self.rng.standard_normal(shape))
+        return self.blocks[-1].copy()
+
+
 class TestKernel:
+    @pytest.mark.parametrize("partial_csi", [True, False], ids=["phase-csi", "full-csi"])
+    @pytest.mark.parametrize("name", ["alamouti", "cod4", "ciod4", "cuw8", "dense"])
+    def test_noisy_synthesis_is_the_physical_model(self, name, partial_csi):
+        # from the block the kernel drew, y2 = relay_gain sum_r g_r (A_r rx_r + B_r rx_r*) + w2 with
+        # rx_r = c1 f_r s + v_r: the relay noise goes through A and its conjugate through B
+        if name == "dense":  # random dense complex weights (K 2, T 3, N 2): the forwarded noise is improper
+            w = np.random.default_rng(50).standard_normal((2, 2, 3, 2, 2)) @ np.array([1, 1j])
+            code = LinearDispersionCode(tuple(w[0]), tuple(w[1]), name="dense")
+        else:
+            code = FAMILIES[name]()
+        con = Constellation.qpsk()
+        kernel = _Kernel(code, con, partial_csi)
+        assert (kernel.noise_path == "general") == (name == "dense")
+        pa = PowerAllocation.equal_split(code, 10.0)
+        idx = np.random.default_rng(51).integers(0, kernel.L, 64)
+        rng = Recording(52)
+        g0, g, f, y1, y2 = kernel.simulate_batch(pa, rng, idx)
+        (block,) = rng.blocks
+        r, k = code.N, code.K
+        d_g0, d_g, d_f, w1, v, w2 = np.split(block.view(complex) / np.sqrt(2), np.cumsum([1, r, r, k, r * k]), axis=1)
+        assert np.array_equal(g0, d_g0[:, 0]) and np.array_equal(g, d_g)
+        assert np.array_equal(f, np.abs(d_f) if partial_csi else d_f)
+        s = codebook_symbol_vectors(code, con)[0][idx]
+        c1 = pa.broadcast_amp
+        assert np.allclose(y1, c1 * g0[:, None] * s + w1, rtol=0.0, atol=1e-13)
+        rx = c1 * f[:, :, None] * s[:, None, :] + v.reshape(len(idx), r, k)
+        pairs = scaled_relay_pairs(code)
+        direct = sum(pa.relay_gain * g[:, i, None] * (rx[:, i] @ p.a.T) for i, p in enumerate(pairs))
+        conjugated = sum(pa.relay_gain * g[:, i, None] * (rx[:, i].conj() @ p.b.T) for i, p in enumerate(pairs))
+        want = direct + conjugated + w2
+        scale = np.linalg.norm(want, axis=1)
+        assert np.all(np.linalg.norm(y2 - want, axis=1) <= 1e-12 * scale)
+        # every code here conjugates on some relay, so leaving out the B share misses by far more
+        assert np.all(np.linalg.norm(conjugated, axis=1) > 1e-6 * scale)
+
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_synthesis_is_the_signal_model(self, family):
         # noiseless, each trial's (y1, y2) is combined_scale * S h with h = (g0, g f); full CSI is left out,
