@@ -123,9 +123,17 @@ def _csv_float(x: float) -> str:
     return repr(float(x))
 
 
+def _available_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask where the OS has one), the default ``--threads``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform (macOS, Windows)
+        return os.cpu_count() or 1
+
+
 def _process_record() -> dict:
     """The process's peak resident set so far in MiB (None without ``resource``) and its versions."""
-    import platform  # only simulate manifests need these two, so `import dstc.cli` stays lean
+    import platform  # only simulate and dmg manifests need these two, so `import dstc.cli` stays lean
 
     try:
         import resource
@@ -281,6 +289,11 @@ def cmd_dmg(args) -> int:
         raise ParameterError(f"--threads must be positive, got {args.threads}")
     if args.relays < 1:
         raise ParameterError(f"--relays must be positive, got {args.relays}")
+    bad_rho = [rho for rho in args.rho if not (np.isfinite(rho) and rho >= 0)]
+    if bad_rho:
+        raise ParameterError(f"--rho values must be finite and nonnegative, got {bad_rho[0]}")
+    if not np.isfinite(args.rate):
+        raise ParameterError(f"--rate must be finite, got {args.rate}")
     manifest = _manifest_path(args, "dmg")
     _check_writable(args.out, manifest)
 
@@ -323,7 +336,8 @@ def cmd_dmg(args) -> int:
             fh.write(text)
     else:
         print(text, end="")
-    _write_manifest(manifest, "dmg", vars(args), args.started, {"csv": _sha256(text.encode())})
+    extra = {"workers": workers, **_process_record()}
+    _write_manifest(manifest, "dmg", vars(args), args.started, {"csv": _sha256(text.encode())}, extra)
     return 0
 
 
@@ -376,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full-csi-f", action="store_true", help="complex f (no phase compensation)")
     p.add_argument("--chunk", type=int, default=65536)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=_available_cpus(), help="worker threads (default: the usable CPUs)")
     p.add_argument("--out", help="CSV output path (default stdout)")
 
     p = sub.add_parser("dmg", help="distribution test between the two effective channels")
@@ -385,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, default=0.5, help="multiplexing rate for outage")
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=_available_cpus(), help="worker threads (default: the usable CPUs)")
     p.add_argument("--out", help="CSV output path (default stdout)")
 
     for sp in sub.choices.values():

@@ -333,6 +333,61 @@ class TestDmg:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "--threads" in err
 
+    def test_manifest_records_workers_and_process(self, tmp_path):
+        args = ["dmg", "--relays", 2, "--rho", "1", "--samples", 500, "--out", tmp_path / "x.csv"]
+        for threads, workers in ((1, 1), (2, 2), (8, 3)):  # three jobs for one rho value
+            assert run(args + ["--threads", threads]) == 0
+            manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
+            assert manifest["workers"] == workers and manifest["config"]["threads"] == threads
+            assert manifest["peak_rss_mb"] > 0
+            assert manifest["versions"]["numpy"] == np.__version__
+            assert manifest["versions"]["python"] == platform.python_version()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--rho", "nan"), ("--rho", "inf"), ("--rho", "1,-1"), ("--rate", "nan"), ("--rate", "-inf")],
+        ids=["rho-nan", "rho-inf", "rho-negative", "rate-nan", "rate-inf"],
+    )
+    def test_bad_rho_or_rate_exits_two_naming_the_flag(self, tmp_path, capsys, flag, value):
+        assert run(["dmg", "--samples", 100, f"{flag}={value}", "--out", tmp_path / "x.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_zero_rho_is_valid(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert run(["dmg", "--samples", 100, "--rho", "0", "--out", out]) == 0
+        assert out.read_text().splitlines()[1] == "0.0,0.0,0,0.0,0.0"
+
+
+class TestDefaultThreads:
+    def test_default_is_the_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert cli._available_cpus() == 3
+        for command in ("simulate", "dmg"):
+            assert cli.build_parser().parse_args([command]).threads == 3
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # no affinity call and no count
+        assert cli._available_cpus() == 1
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "--family", "alamouti", "--snr-db", "5,10", "--trials", "3000", "--chunk", 700, "--seed", 4],
+            ["dmg", "--relays", 3, "--rho", "1,10", "--samples", 70_000, "--seed", 6],
+        ],
+        ids=["simulate", "dmg"],
+    )
+    def test_outputs_equal_at_every_thread_count(self, tmp_path, args):
+        texts = set()
+        for threads in (1, 2, 3, None):  # None: the default
+            out = tmp_path / f"{threads}.csv"
+            assert run(args + (["--threads", threads] if threads else []) + ["--out", out]) == 0
+            texts.add(out.read_bytes())
+            manifest = json.loads((tmp_path / f"{threads}.csv.manifest.json").read_text())
+            assert manifest["config"]["threads"] == (threads or cli._available_cpus())
+        assert len(texts) == 1
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path, capsys, monkeypatch):

@@ -1,12 +1,40 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dstc.dmg_analysis import (
+    ChannelStatSample,
     channel_stat_samples,
     empirical_outage,
     ks_two_sample,
 )
 from dstc.errors import ParameterError
+
+
+def stat_samples_oracle(n_relays, rho, n, seed, chunk=1 << 16):
+    """The sampler written out whole, one fresh array per term: the reference for the buffered one."""
+    out = np.empty(n)
+    for ci in range((n + chunk - 1) // chunk):
+        size = min(chunk, n - ci * chunk)
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, ci], dtype=np.uint64)))
+        cn2 = lambda *sh: (rng.standard_normal(sh) ** 2 + rng.standard_normal(sh) ** 2) / 2.0
+        g0_sq = cn2(size)
+        g_sq = cn2(size, n_relays)
+        f = (rng.standard_normal((size, n_relays)) + 1j * rng.standard_normal((size, n_relays))) / np.sqrt(2)
+        f_sq = f.real**2 + f.imag**2
+        out[ci * chunk : ci * chunk + size] = 1.0 + rho * (g0_sq + np.sum(f_sq * g_sq, axis=1))
+    return out
+
+
+def ks_stat_oracle(a, b):
+    """Two-sample KS statistic from both empirical CDFs at the pooled points."""
+    a, b = np.sort(a), np.sort(b)
+    both = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, both, side="right") / len(a)
+    cdf_b = np.searchsorted(b, both, side="right") / len(b)
+    return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
 def ks_one_sample_exp1(values, alpha_coeff=1.628):
@@ -42,13 +70,40 @@ class TestStatSamples:
             assert np.all(s.values >= 1.0)
 
     def test_chunking_invariant(self):
-        a = channel_stat_samples(2, 5.0, 30_000, True, seed=6, chunk=1 << 16)
-        b = channel_stat_samples(2, 5.0, 30_000, True, seed=6, chunk=1 << 12)
         # different chunking changes stream layout but not determinism per layout
-        assert np.array_equal(
-            a.values, channel_stat_samples(2, 5.0, 30_000, True, seed=6, chunk=1 << 16).values
-        )
-        assert len(b.values) == 30_000
+        for chunk in (1 << 16, 1 << 12):
+            a = channel_stat_samples(2, 5.0, 30_000, True, seed=6, chunk=chunk)
+            b = channel_stat_samples(2, 5.0, 30_000, True, seed=6, chunk=chunk)
+            assert len(a.values) == 30_000 and np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("n", [1, 7, 8192, 8193, 65536, 65537, 200003])
+    def test_buffered_draws_are_the_oracle_bitwise(self, n):
+        # the row pieces (8192) and the chunks both end inside and on these sizes
+        for relays, chunk, seed in itertools.product((0, 1, 2, 4, 8), (1 << 12, 1 << 16), (0, 11, 2**64 - 1)):
+            want = stat_samples_oracle(relays, 3.7, n, seed, chunk).tobytes()
+            for partial in (True, False):
+                got = channel_stat_samples(relays, 3.7, n, partial, seed, chunk).values
+                assert got.tobytes() == want, (relays, chunk, seed, partial)
+
+    def test_memory_stays_near_two_chunks_of_relay_terms(self):
+        channel_stat_samples(4, 10.0, 10, True, seed=0)  # keep first-call imports out of the peak
+        tracemalloc.start()
+        try:
+            channel_stat_samples(4, 10.0, 100_000, True, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # out (0.8 MB) + two 65536 x 4 buffers (4.2 MB) + the row pieces; one array per term held 13.0 MB
+        assert peak <= 7e6
+
+    @pytest.mark.parametrize("rho", [float("nan"), float("inf"), -1.0])
+    def test_rho_must_be_finite_and_nonnegative(self, rho):
+        with pytest.raises(ParameterError, match="rho"):
+            channel_stat_samples(2, rho, 10, True, seed=0)
+
+    def test_sample_refuses_nan(self):
+        with pytest.raises(ParameterError):
+            ChannelStatSample(1.0, np.array([1.0, np.nan]))
 
     def test_squared_gain_is_unit_exponential(self):
         rng = np.random.default_rng(7)
@@ -88,6 +143,27 @@ class TestKsTwoSample:
     def test_unknown_level_rejected(self):
         with pytest.raises(ParameterError):
             ks_two_sample([1.0], [1.0], alpha=0.2)
+
+    def test_statistic_is_the_pooled_oracle_bitwise(self):
+        rng = np.random.default_rng(14)
+        for n, m in ((1, 1), (1, 9), (37, 5), (1000, 1000), (4096, 3001)):
+            for decimals in (0, 1, 3, None):  # rounding makes ties within and across the samples
+                a, b = rng.exponential(1.0, n), rng.exponential(1.2, m)
+                if decimals is not None:
+                    a, b = a.round(decimals), b.round(decimals)
+                assert ks_two_sample(a, b)[0] == ks_stat_oracle(a, b)
+
+    def test_memory_holds_no_pooled_copy(self):
+        rng = np.random.default_rng(15)
+        a, b = rng.exponential(1.0, 100_000), rng.exponential(1.0, 100_000)
+        ks_two_sample(a[:10], b[:10])
+        tracemalloc.start()
+        try:
+            ks_two_sample(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5e6  # the pooled evaluation held 9.6 MB
 
 
 class TestDistributionEquality:
