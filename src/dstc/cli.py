@@ -238,6 +238,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    for flag, value in (("--chunk", args.chunk), ("--threads", args.threads)):
+        if value < 1:
+            raise ParameterError(f"{flag} must be positive, got {value}")
     manifest = _manifest_path(args, "simulate")
     _check_writable(args.out, manifest)
     code = make_code(args.family, args.bundle, args.blocks, warn=True)
@@ -285,10 +288,11 @@ def cmd_dmg(args) -> int:
         raise ParameterError(
             f"--seed must lie in [0, {(1 << 64) - 1 - top}] with {len(args.rho)} rho values, got {args.seed}"
         )
-    if args.threads < 1:
-        raise ParameterError(f"--threads must be positive, got {args.threads}")
-    if args.relays < 1:
-        raise ParameterError(f"--relays must be positive, got {args.relays}")
+    for flag, value in (("--threads", args.threads), ("--relays", args.relays), ("--samples", args.samples)):
+        if value < 1:
+            raise ParameterError(f"{flag} must be positive, got {value}")
+    if not args.rho:
+        raise ParameterError("--rho needs at least one value")
     bad_rho = [rho for rho in args.rho if not (np.isfinite(rho) and rho >= 0)]
     if bad_rho:
         raise ParameterError(f"--rho values must be finite and nonnegative, got {bad_rho[0]}")

@@ -28,21 +28,23 @@ under any parallelism. A chunk draws its codewords, then runs draw,
 synthesis, decoding and counting block by block in row blocks of bounded
 bytes. The batched decoder scores each trial's quadratic-form coefficients
 against a table of every symbol's points alone, so single-symbol decodable
-codes are decoded symbol by symbol. A group of symbols that the code's
-metric ties together is scored jointly only for the trials where a bound on
-the cross-symbol terms cannot certify that the symbols' best points are the
-joint ML decision. Its tables depend only on
-the code, the constellation and the CSI mode; they are built once per
-distinct content and kept in a byte-bounded cache shared by every call. While a call runs
-more than one worker, numpy's OpenBLAS is held at one thread, so the
-workers do not oversubscribe the cores.
+codes are decoded symbol by symbol. For a group of symbols that the code's
+metric ties together, a bound on the cross-symbol terms certifies most
+trials' per-symbol best points as the joint ML decision; the other trials
+score only the tuples of points whose per-symbol excess over the best stays
+within that bound, and ties go to the lowest codeword. No decoder array
+grows with the codebook, so its size is bounded only by the 64-bit codeword
+index. The tables depend only on the code, the constellation and the CSI
+mode; they are built once per distinct content and kept in a byte-bounded
+cache shared by every call. While a call runs more than one worker, numpy's
+OpenBLAS is held at one thread, so the workers do not oversubscribe the
+cores.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
-import os
 import threading
 import time
 from collections import OrderedDict
@@ -470,28 +472,17 @@ def wilson_interval(k: int, n: int, z: float = _WILSON_Z) -> tuple[float, float]
 
 
 # Bytes one row block of a chunk may hold: its normal draws, its synthesis
-# arrays and its decode arrays (features, metric block and temporaries).
+# arrays and its decode arrays (features, metric block and temporaries). A
+# code with a multi-symbol group keeps PIECE_BYTES of it for the pieces in
+# which its uncertified trials' candidates are listed and scored.
 BLOCK_BYTES = 8 << 20
+PIECE_BYTES = BLOCK_BYTES // 8
 _NOISE_TOL = 1e-12
 # The certificate's rounding slack is this times W sum_c |psi_c| max|t_c|
 # over a group's W table columns. A computed dot product of W terms is
 # within W unit roundoffs of that sum in any order of summation, so 64 unit
 # roundoffs per column cover the per-symbol and the joint metric many times.
 _GEMM_SLACK = 32 * np.finfo(np.float64).eps
-
-
-def _table_bytes(rows: int, k: int, width: int) -> int:
-    """Bytes of a table segment of ``rows`` candidates of ``k`` symbols at its peak while built.
-
-    Its rows and their codeword places, plus the digits (and their grid),
-    the symbols (and their gather) and the real symbols it is built from.
-    """
-    return rows * (8 * width + 64 * k + 8)
-
-
-def _block_rows(row_bytes: int) -> int:
-    """Trials per row block: as many as ``BLOCK_BYTES`` holds, at least 3 so no block has a single row."""
-    return max(3, BLOCK_BYTES // row_bytes)
 
 
 def _diagonal_forms(m: np.ndarray, groups) -> tuple:
@@ -554,22 +545,11 @@ def _symbol_groups(monomials: tuple, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted({tuple(np.flatnonzero(row).tolist()) for row in reach}))
 
 
-def _monomial_table(sym: np.ndarray, monomials: tuple, out: np.ndarray | None = None) -> np.ndarray:
+def _monomial_table(sym: np.ndarray, monomials: tuple) -> np.ndarray:
     """Table rows [x, x_j x_i for the pairs (j, i) in ``monomials``] of source vectors ``sym`` (n, K)."""
     x = np.hstack([sym.real, sym.imag])
-    table = np.empty((len(sym), x.shape[1] + len(monomials[0]))) if out is None else out
-    table[:, : x.shape[1]] = x
-    for col, (j, i) in enumerate(zip(*monomials), start=x.shape[1]):  # no (n, W) factor gathers
-        np.multiply(x[:, j], x[:, i], out=table[:, col])
-    return table
-
-
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where the system does not say."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
+    j, i = monomials
+    return np.hstack([x, x[:, j] * x[:, i]])
 
 
 def _row_blocks(n: int, rows: int) -> list[tuple[int, int]]:
@@ -597,17 +577,17 @@ class _Kernel:
     over ``symbol_groups``, the symbols that no cross monomial ties to the
     rest, so a symbol alone takes its best point from its own M metrics.
 
-    A group of more than one symbol also has one row per candidate in
-    ``table``; ``spans`` holds each such group's rows and ``places`` each
-    row's share of the codeword index. The group's cross monomials add at
-    most eps = |psi| @ max|t| over its cross columns to any candidate, so
-    when every symbol's best point beats its second best by more than 2 eps
-    plus twice the rounding slack, the symbols' best points are the joint
-    argmin (a bound-and-prune form of real-lattice ML). Only the trials not
-    so certified are scored on the group's joint rows. The sent symbols and
-    their digits come from the codeword index, so no other array grows with
-    the codebook, and the joint rows reach one per codeword only for a
-    group of every symbol.
+    A group of more than one symbol is decided under a certificate: its
+    cross monomials add at most eps = |psi| @ max|t| over its cross columns
+    to any candidate, so when every symbol's best point beats its second
+    best by more than 2 eps plus twice the rounding slack, the symbols' best
+    points are the joint argmin (a bound-and-prune form of real-lattice ML).
+    A trial not so certified is decoded from per-symbol lists (see
+    ``_list_decode``): its joint ML decision's summed excess over the
+    symbols' best metrics is within the same bound, so only the tuples of
+    points within it are scored, and ties go to the lowest codeword as in an
+    argmin over the codebook. The sent symbols and their digits come from
+    the codeword index, so no kernel array grows with the codebook.
 
     Under the ``scalar`` and ``diagonal`` noise paths the cooperation noise
     is white within each group of slots that share a per-relay noise
@@ -621,11 +601,11 @@ class _Kernel:
     own real covariance for b and Q and keeps every monomial.
 
     A chunk runs draw, synthesis, decoding and counting in row blocks of at
-    most ``block_rows`` trials. ``kernel_bytes`` estimates the arrays the
-    kernel holds and builds its tables from, at their peak while they are
-    built; a codebook past the 64-bit codeword index, or whose estimate
-    exceeds half of physical memory, is refused before any table is built.
-    Read-only once built, so concurrent callers may share one.
+    most ``block_rows`` trials, whose arrays fit ``BLOCK_BYTES`` less the
+    ``PIECE_BYTES`` a code with a multi-symbol group keeps for its candidate
+    pieces. A codebook past the 64-bit codeword index is refused before
+    anything is built. Read-only once built, so concurrent callers may share
+    one.
     """
 
     def __init__(self, code: LinearDispersionCode, con: Constellation, partial_csi: bool):
@@ -650,8 +630,6 @@ class _Kernel:
         # products with g) and the counting gathers
         draws = 1 + 2 * r + k + r * k + t2
         row_bytes = 16 * (draws + 3 * k + 5 * r * k + 4 * t2) + 40 * k
-        # held whatever the code: the relay map and the bit-distance table
-        fixed = 32 * r * t2 * k + 8 * m * m
         if off > _NOISE_TOL or np.max(np.abs(d_re - diag[:, t2:])) > _NOISE_TOL:
             self.noise_path, self.slot_groups = "general", ()
             self.monomials = np.triu_indices(2 * k)
@@ -659,7 +637,6 @@ class _Kernel:
             d = 2 * t2
             # per trial: the responses, covariance, solve operands and Q
             row_bytes += 48 * k * t2 + 24 * d * (d + 2 * k + 1) + 32 * k * k
-            fixed += 24 * r * d * d + 32 * k * t2 * r
             self.gen_zz = zz
         else:
             # each slot joins the group of the first slot with the same diagonal
@@ -676,24 +653,11 @@ class _Kernel:
             self.symbol_groups = _symbol_groups(self.monomials, k)
             # per trial: the noise weights, the products and their gathers and their weights
             row_bytes += 48 * (len(self.z_keep[0]) + t2) + 64 * len(self.outer_keep[0]) + 32 * (k + 2 * r)
-            fixed += self.linear.nbytes + self.quadratic.nbytes
         j, i = self.monomials
         width = 2 * k + len(j)
         self.certified = tuple(g for g in self.symbol_groups if len(g) > 1)
-        joint_rows = [m ** len(g) for g in self.certified]
-        row_bytes += 8 * width + 8 * (k * m + sum(joint_rows))  # psi and the metric rows
-        self.block_rows = _block_rows(row_bytes)
-        self.kernel_bytes = (
-            fixed
-            + _table_bytes(k * m, k, width)
-            + sum(_table_bytes(rows, len(g), width) for rows, g in zip(joint_rows, self.certified))
-        )
-        memory = _physical_memory()
-        if memory and self.kernel_bytes > memory // 2:
-            raise ParameterError(
-                f"{codewords} codewords need about {self.kernel_bytes / 2**30:.1f} GiB to simulate, "
-                f"more than half of the {memory / 2**30:.1f} GiB of memory"
-            )
+        row_bytes += 8 * width + 8 * k * m  # psi and the per-symbol metrics
+        self.block_rows = max(3, (BLOCK_BYTES - PIECE_BYTES * bool(self.certified)) // row_bytes)
         self.points = _symbol_scale(code, con) * np.asarray(con.points)
         self.place = m ** np.arange(k - 1, -1, -1)  # each symbol's digit weight in the index
         self.squares = 2 * k + np.flatnonzero(j == i)  # psi's columns of the monomials x_j^2
@@ -706,22 +670,6 @@ class _Kernel:
         sym = np.zeros((k * m, k), dtype=complex)
         sym[np.arange(k * m), np.repeat(np.arange(k), m)] = np.tile(self.points, k)
         self.sym_table = _monomial_table(sym, self.monomials)
-        # One table segment per multi-symbol group, one row per candidate of the group: the
-        # group's symbols take their candidate's points and every other symbol is 0.
-        # ``places`` holds each candidate's share of the codeword index.
-        self.table = np.empty((sum(joint_rows), width))  # the GEMM reads its transpose
-        self.places = np.empty(len(self.table), dtype=np.intp)
-        self.spans = []  # each multi-symbol group's rows of the table
-        lo = 0
-        for grp in self.certified:
-            digits = _digit_grid(m, len(grp))
-            hi = lo + len(digits)
-            sym = np.zeros((len(digits), k), dtype=complex)
-            sym[:, grp] = self.points[digits]
-            _monomial_table(sym, self.monomials, out=self.table[lo:hi])
-            self.places[lo:hi] = digits @ self.place[list(grp)]
-            self.spans.append((lo, hi))
-            lo = hi
         # |psi| @ margins.T is 2 (eps + slack) of each multi-symbol group: every column's largest
         # |entry| counts in full on the group's cross monomials and as slack on all its columns
         xmax = np.repeat([np.abs(self.points.real).max(), np.abs(self.points.imag).max()], k)
@@ -743,10 +691,9 @@ class _Kernel:
             "noise_groups": len(self.slot_groups),
             "codewords": self.L,
             "symbol_groups": [list(g) for g in self.symbol_groups],
-            "decode_candidates": len(self.table),
             "certified_groups": [list(g) for g in self.certified],
             "per_symbol_candidates": len(self.sym_table),
-            "feature_width": None if self.noise_path == "general" else self.table.shape[1],
+            "feature_width": None if self.noise_path == "general" else self.sym_table.shape[1],
             "block_rows": self.block_rows,
         }
 
@@ -803,7 +750,7 @@ class _Kernel:
         lead, ea, eb = self.outer_keep
         outer = np.conj(np.take(hh, ea, axis=1)) * np.take(hh, eb, axis=1)
         outer *= (2.0 * c2 * c2) * np.take(winv, lead, axis=1)
-        psi = np.empty((n, self.table.shape[1]))
+        psi = np.empty((n, self.sym_table.shape[1]))
         np.matmul(z.view(np.float64), self.linear, out=psi[:, : 2 * k])
         psi[:, : 2 * k] *= -4.0 * c2
         np.matmul(outer.view(np.float64), self.quadratic, out=psi[:, 2 * k :])
@@ -830,7 +777,7 @@ class _Kernel:
         return psi
 
     def coefficients(self, pa: PowerAllocation, g0, g, f, y1, y2) -> np.ndarray:
-        """Per-trial monomial coefficients psi: psi @ table.T is the ML metric up to a constant per trial.
+        """Per-trial monomial coefficients psi: psi @ [x, x_j x_i] is the ML metric up to a constant per trial.
 
         The broadcast phase's noise is white on every noise path, so its share
         of the metric, 2||r1||^2 - 4 Re<y1, r1> with r1 = c1 g0 s, adds
@@ -851,8 +798,8 @@ class _Kernel:
 
         Each symbol takes its best point from one real GEMM of psi against
         ``sym_table``. A multi-symbol group keeps its symbols' best points
-        where the certificate holds and takes its best joint candidate
-        elsewhere.
+        where the certificate holds and takes its best candidate from the
+        per-symbol lists elsewhere.
         """
         psi = self.coefficients(pa, g0, g, f, y1, y2)
         n = len(psi)
@@ -868,17 +815,63 @@ class _Kernel:
                 lo1 = np.minimum(lo1, col)
             gap = lo2 - lo1
             margin = np.abs(psi) @ self.margins.T  # (n, multi-symbol groups)
-            for c, (grp, (lo, hi)) in enumerate(zip(self.certified, self.spans)):
+            for c, grp in enumerate(self.certified):
                 grp = list(grp)
                 ok = np.all(gap[:, grp] > margin[:, c : c + 1], axis=1)
                 rest = np.flatnonzero(~ok)
-                if len(rest) == 1 and n > 1:  # BLAS would score a single row as a matrix-vector product
-                    rest = np.append(rest, (rest[0] + 1) % n)  # a certified row, whose joint decision is its own
-                if len(rest):  # the group's share of the index becomes its best joint candidate's
-                    joint = self.places[lo + np.argmin(psi[rest] @ self.table[lo:hi].T, axis=1)]
-                    dec[rest] += joint - best[np.ix_(rest, grp)] @ self.place[grp]
+                if len(rest):  # the group's share of the index becomes its best candidate's
+                    excess = per_symbol[rest][:, grp] - lo1[rest][:, grp, None]
+                    won = self._list_decode(grp, psi[rest], excess, margin[rest, c])
+                    dec[rest] += (won - best[rest][:, grp]) @ self.place[grp]
                 sure &= ok
         return dec, int(np.count_nonzero(sure))
+
+    def _list_decode(self, grp: list, psi: np.ndarray, excess: np.ndarray, bound: np.ndarray) -> np.ndarray:
+        """The points (u, G) of each trial's joint ML candidate for the symbols ``grp``, from per-symbol lists.
+
+        ``excess`` (u, G, M) is each symbol's metric over its best point's,
+        and ``bound`` (u,) the certificate's 2 (eps + slack), which the joint
+        decision's summed excess cannot pass. Each symbol's list holds its
+        points within the bound, in point order. The tuples of list points
+        are taken in codeword order, first symbol most significant, in pieces
+        of at most ``PIECE_BYTES``; those whose summed excess is within the
+        bound are scored on their rows [x, x_j x_i] against psi. The first
+        lowest metric wins, as in an argmin over the codebook.
+        """
+        u, size = excess.shape[:2]
+        listed = excess <= bound[:, None, None]
+        points = np.argsort(~listed, axis=2, kind="stable")  # each list first, in point order
+        lengths = listed.sum(axis=2)
+        radix = lengths[:, ::-1].cumprod(axis=1)[:, ::-1]  # tuples of the lists of each symbol onward
+        ends = radix[:, 0].cumsum()
+        starts = ends - radix[:, 0]
+        xs = self.sym_table[:, : 2 * self.t1].reshape(self.t1, self.m, -1)[grp]  # (G, M, 2K): x of each point
+        j, i = self.monomials
+        each = np.arange(size)
+        lowest, won = np.full(u, np.inf), np.zeros((u, size), dtype=np.intp)
+        # per tuple: its trial, offset, digits and their gathers; per candidate: its x, row and psi
+        step = max(1, PIECE_BYTES // (8 * (6 * size + 3 * psi.shape[1])))
+        for lo in range(0, int(ends[-1]), step):
+            pos = np.arange(lo, min(lo + step, ends[-1]))
+            t = ends.searchsorted(pos, side="right")
+            r = radix[t]
+            # digit s of the tuple's offset in its trial: (offset mod radix_s) // (radix_s / length_s)
+            digits = (pos - starts[t])[:, None] % r * lengths[t] // r
+            pts = points[t[:, None], each, digits]
+            keep = excess[t[:, None], each, pts].sum(axis=1) <= bound[t]
+            t, pts = t[keep], pts[keep]
+            x = xs[each, pts].sum(axis=1)  # one nonzero per column: exact
+            metric = np.einsum("cw,cw->c", np.hstack([x, x[:, j] * x[:, i]]), psi[t])
+            order = np.lexsort((metric, t))  # by trial, then metric, then codeword
+            ts = t[order]
+            first = np.ones(len(t), dtype=bool)  # each trial's first lowest
+            first[1:] = ts[1:] != ts[:-1]
+            head = order[first]
+            th, mh = t[head], metric[head]
+            better = mh < lowest[th]
+            lowest[th[better]] = mh[better]
+            won[th[better]] = pts[head[better]]
+        return won
 
     def run_chunk(self, pa: PowerAllocation, seed: int, snr_idx: int, chunk_idx: int, n: int):
         """Codeword and bit errors of one chunk, and its trials certified per symbol (see ``decode_batch``).

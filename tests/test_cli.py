@@ -166,16 +166,16 @@ class TestSimulate:
         assert (tmp_path / "sim.csv.manifest.json").exists()
 
     @pytest.mark.parametrize(
-        "family, path, groups, width, candidates, symbols, certified, per_symbol",
+        "family, path, groups, width, symbols, certified, per_symbol",
         [
-            ("alamouti", "scalar", 1, 8, 0, [[0], [1]], [], 8),
-            ("cod8", "diagonal", 8, 40, 256, [[0, 1, 2, 3]], [[0, 1, 2, 3]], 16),
-            ("cuw8", "diagonal", 4, 78, 4096, [list(range(6))], [list(range(6))], 24),
+            ("alamouti", "scalar", 1, 8, [[0], [1]], [], 8),
+            ("cod8", "diagonal", 8, 40, [[0, 1, 2, 3]], [[0, 1, 2, 3]], 16),
+            ("cuw8", "diagonal", 4, 78, [list(range(6))], [list(range(6))], 24),
         ],
         ids=["alamouti-scalar-1-8-0", "cod8-diagonal-8-40-256", "cuw8-diagonal-4-78-4096"],
     )
     def test_manifest_records_decoder(
-        self, tmp_path, monkeypatch, family, path, groups, width, candidates, symbols, certified, per_symbol
+        self, tmp_path, monkeypatch, family, path, groups, width, symbols, certified, per_symbol
     ):
         monkeypatch.setattr(relay_channel_sim, "_KERNELS", OrderedDict())  # the first call builds
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -201,7 +201,7 @@ class TestSimulate:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         for decoder in decoders:
             assert decoder["noise_path"] == path and decoder["noise_groups"] == groups
-            assert decoder["feature_width"] == width and decoder["decode_candidates"] == candidates
+            assert decoder["feature_width"] == width and "decode_candidates" not in decoder
             assert decoder["symbol_groups"] == symbols
             assert decoder["certified_groups"] == certified and decoder["per_symbol_candidates"] == per_symbol
             assert decoder["blas_thread_env"] == {
@@ -233,20 +233,31 @@ class TestSimulate:
         # the timings go to the manifest only: stdout is the same CSV for any thread count
         assert outputs[0] == outputs[1] and outputs[0].startswith("snr_db,trials,")
 
-    def test_oversized_codebook_exits_two_before_allocating(self, tmp_path, capsys, monkeypatch):
-        # cuw8 on 16-QAM: 16.7 M codewords, whose joint table alone takes 9.8 GiB
-        monkeypatch.setattr(relay_channel_sim, "_physical_memory", lambda: 8 << 30)
-        args = ["simulate", "--family", "cuw8", "--constellation", "qam16", "--trials", "10", "--out", tmp_path / "x"]
+    def test_oversized_codebook_exits_two_before_allocating(self, tmp_path, capsys):
+        # cuw4 x4 on 16-QAM: 16**16 codewords, past the 64-bit codeword index
+        args = ["simulate", "--family", "cuw4", "--blocks", "4", "--constellation", "qam16", "--trials", "10"]
         tracemalloc.start()
         start = time.perf_counter()
         try:
-            assert run(args) == 2
+            assert run(args + ["--out", tmp_path / "x"]) == 2
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert time.perf_counter() - start < 5.0 and peak < 16 * 2**20
         err = capsys.readouterr().err
-        assert err.startswith("error: 16777216 codewords need about") and err.count("\n") == 1
+        assert err.startswith("error: 18446744073709551616 codewords do not fit") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("family", ["cuw8", "ciod8"])
+    def test_groups_of_six_run_on_qam16(self, tmp_path, family):
+        # 16.7 M codewords, whose joint rows would take 9.8 GiB: the uncertified trials are decoded from lists
+        out = tmp_path / "x.csv"
+        args = ["simulate", "--family", family, "--constellation", "qam16", "--snr-db", "0,20", "--trials", "300"]
+        assert run(args + ["--chunk", 150, "--out", out]) == 0
+        manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
+        assert manifest["decoder"]["codewords"] == 16**6 and manifest["decoder"]["certified_groups"] == [list(range(6))]
+        assert all(p["certified_frac"] < 1.0 for p in manifest["snr_points"])
+        assert len(out.read_text().splitlines()) == 3
 
     def test_codebook_size_is_bounded_by_the_codeword_index_only(self, tmp_path, capsys):
         # cuw4 x2 on 16-QAM: 4.3 G codewords, decoded symbol by symbol from a 128-row table and no joint row
@@ -254,7 +265,7 @@ class TestSimulate:
         assert run(args + ["--blocks", "2"]) == 0
         decoder = json.loads((tmp_path / "x.manifest.json").read_text())["decoder"]
         assert decoder["codewords"] == 16**8 and decoder["per_symbol_candidates"] == 128
-        assert decoder["decode_candidates"] == 0
+        assert decoder["certified_groups"] == []
         capsys.readouterr()
         # x4: 16**16 codewords, past the 64-bit codeword index
         assert run(args + ["--blocks", "4"]) == 2
@@ -345,8 +356,9 @@ class TestDmg:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--rho", "nan"), ("--rho", "inf"), ("--rho", "1,-1"), ("--rate", "nan"), ("--rate", "-inf")],
-        ids=["rho-nan", "rho-inf", "rho-negative", "rate-nan", "rate-inf"],
+        [("--rho", "nan"), ("--rho", "inf"), ("--rho", "1,-1"), ("--rho", ""), ("--rate", "nan"), ("--rate", "-inf"),
+         ("--samples", "0")],
+        ids=["rho-nan", "rho-inf", "rho-negative", "rho-empty", "rate-nan", "rate-inf", "samples-0"],
     )
     def test_bad_rho_or_rate_exits_two_naming_the_flag(self, tmp_path, capsys, flag, value):
         assert run(["dmg", "--samples", 100, f"{flag}={value}", "--out", tmp_path / "x.csv"]) == 2
@@ -461,26 +473,28 @@ class TestFlagsAndBadInput:
         assert run([*args, "--out", tmp_path / "x"]) == 2
 
     @pytest.mark.parametrize(
-        "args",
+        "args, prefix",
         [
-            ["analyze", "--family", "ciod4", "--tol-rank", "-1"],
-            ["analyze", "--family", "alamouti", "--tol-rank", "nan"],
-            ["verify", "--family", "alamouti", "--tol-diag", "nan"],
-            ["simulate", "--family", "alamouti", "--trials", "10", "--pi", "1,0,nan"],
-            ["simulate", "--family", "alamouti", "--trials", "10", "--snr-db", "nan"],
-            ["simulate", "--family", "alamouti", "--trials", "10", "--snr-db", "4000"],
-            ["simulate", "--family", "alamouti", "--trials", "10", "--blocks", "0"],
-            ["construct", "--family", "alamouti", "--blocks", "-1"],
-            ["dmg", "--relays", "0", "--samples", "100"],
-            ["analyze", "--family", "clifford4", "--rotate", "--rot-trials", "-5"],
+            (["analyze", "--family", "ciod4", "--tol-rank", "-1"], "error: "),
+            (["analyze", "--family", "alamouti", "--tol-rank", "nan"], "error: "),
+            (["verify", "--family", "alamouti", "--tol-diag", "nan"], "error: "),
+            (["simulate", "--family", "alamouti", "--trials", "10", "--pi", "1,0,nan"], "error: "),
+            (["simulate", "--family", "alamouti", "--trials", "10", "--snr-db", "nan"], "error: "),
+            (["simulate", "--family", "alamouti", "--trials", "10", "--snr-db", "4000"], "error: "),
+            (["simulate", "--family", "alamouti", "--trials", "10", "--blocks", "0"], "error: "),
+            (["construct", "--family", "alamouti", "--blocks", "-1"], "error: "),
+            (["dmg", "--relays", "0", "--samples", "100"], "error: "),
+            (["analyze", "--family", "clifford4", "--rotate", "--rot-trials", "-5"], "error: "),
+            (["simulate", "--family", "alamouti", "--trials", "10", "--chunk", "0"], "error: --chunk "),
+            (["simulate", "--family", "alamouti", "--trials", "10", "--threads", "0"], "error: --threads "),
         ],
         ids=["tol-rank-negative", "tol-rank-nan", "tol-diag-nan", "pi-nan", "snr-nan", "snr-overflow", "blocks-0",
-             "blocks-negative", "relays-0", "rot-trials-negative"],
+             "blocks-negative", "relays-0", "rot-trials-negative", "chunk-0", "threads-0"],
     )
-    def test_bad_input_exits_two_with_one_line(self, tmp_path, capsys, args):
+    def test_bad_input_exits_two_with_one_line(self, tmp_path, capsys, args, prefix):
         assert run([*args, "--out", tmp_path / "x"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(prefix) and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "args",

@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import re
 import sys
 import threading
 import time
@@ -28,7 +27,7 @@ from dstc.code_library import (
     square_cod,
 )
 from dstc.constraint_checker import dispersion_matrix, random_compliant_code
-from dstc.diversity_analyzer import Constellation
+from dstc.diversity_analyzer import Constellation, _digit_grid
 from dstc.errors import ContractError, DimensionError, InsufficientDataError, ParameterError
 from dstc.matrix_core import real_stack
 from dstc.relay_channel_sim import (
@@ -449,25 +448,62 @@ SINGLE_SYMBOL_CODES = [
 COUPLED_CODES = [square_cod(4), square_cod(8), cuw_ssd(8), gciod(square_cod(4), square_cod(4))]
 
 
-def codeword_metrics(kernel, pa, batch):
-    """The kernel's GEMM metric of every codeword, its symbol groups' metrics summed: (n, L).
+def joint_rows(kernel, symbols, digits):
+    """Rows [x, x_j x_i] of the candidates ``digits`` (n, len(symbols)) of the symbols ``symbols``, the rest 0."""
+    sym = np.zeros((len(digits), kernel.t1), dtype=complex)
+    sym[:, list(symbols)] = kernel.points[digits]
+    return _monomial_table(sym, kernel.monomials)
 
-    A lone symbol's metric is its row of ``sym_table``, a multi-symbol group's its joint row of ``table``.
+
+def codeword_metrics(kernel, pa, batch):
+    """The kernel's metric of every codeword, its symbol groups' metrics summed: (n, L).
+
+    A lone symbol's metric is its row of ``sym_table``, a multi-symbol group's its joint row.
     """
     psi = kernel.coefficients(pa, *batch)
     per_symbol = (psi @ kernel.sym_table.T).reshape(len(psi), -1, kernel.m)
-    joint = psi @ kernel.table.T
-    spans = dict(zip(kernel.certified, kernel.spans))
     digits = kernel.symbol_digits(np.arange(kernel.L))
     out = np.zeros((len(psi), kernel.L))
     for grp in kernel.symbol_groups:
-        if grp in spans:
-            lo, hi = spans[grp]
-            candidate = digits[:, list(grp)] @ (kernel.m ** np.arange(len(grp))[::-1])
-            out += joint[:, lo:hi][:, candidate]
+        if len(grp) > 1:
+            out += psi @ joint_rows(kernel, grp, digits[:, list(grp)]).T
         else:
             out += per_symbol[:, grp[0], digits[:, grp[0]]]
     return out
+
+
+def joint_argmin(kernel, psi, rows=512):
+    """The oracle of a kernel whose one symbol group holds every symbol: each trial's joint argmin over the codebook.
+
+    A codeword's metric psi . [x, x_j x_i] splits over the first half A of
+    the symbols and the rest B as f_A(a) + f_B(b) + x_a^T C x_b, C holding
+    psi on the monomials that pair a real symbol of A with one of B. It is
+    scored over the whole digit grid, ``rows`` candidates of A at a time;
+    ties go to the lowest codeword.
+    """
+    k = kernel.t1
+    assert kernel.symbol_groups == (tuple(range(k)),)
+    half = k // 2
+    # each side's rows hold its own x, the other side's being 0, so they weigh only the side's own monomials
+    ta = joint_rows(kernel, range(half), _digit_grid(kernel.m, half))
+    tb = joint_rows(kernel, range(half, k), _digit_grid(kernel.m, k - half))
+    j, i = kernel.monomials
+    j_in_a, i_in_a = j % k < half, i % k < half
+    mixed = j_in_a != i_in_a
+    ja, ib = np.where(j_in_a, j, i)[mixed], np.where(j_in_a, i, j)[mixed]  # each mixed monomial's x of A and of B
+    out = []
+    for p in psi:
+        c = np.zeros((2 * k, 2 * k))
+        c[ja, ib] = p[2 * k + np.flatnonzero(mixed)]
+        fa, fb, cxb = ta @ p, tb @ p, c @ tb[:, : 2 * k].T
+        low, won = np.inf, -1
+        for lo in range(0, len(ta), rows):
+            metric = fa[lo : lo + rows, None] + fb[None, :] + ta[lo : lo + rows, : 2 * k] @ cxb
+            at = int(np.argmin(metric))
+            if metric.flat[at] < low:
+                low, won = metric.flat[at], lo * len(tb) + at
+        out.append(won)
+    return np.array(out)
 
 
 def run_chunk_peak(kernel, pa, n):
@@ -629,6 +665,10 @@ class TestKernel:
             assert peak <= BLOCK_BYTES + 8 * n  # the block budget plus the chunk's codeword indices
         # more trials cost less than one metric row (8 L bytes) each
         assert (peaks[16384] - peaks[4096]) / (16384 - 4096) < 8 * kernel.L
+        # on 16-QAM at 0 dB more than half of the trials are decoded from lists, whose pieces share the budget
+        for code in (square_cod(8), cuw_ssd(8)):
+            kernel = _Kernel(code, Constellation.qam16(), partial_csi=True)
+            assert run_chunk_peak(kernel, PowerAllocation.equal_split(code, 1.0), 2048) <= BLOCK_BYTES + 8 * 2048
 
     def test_general_path_memory_stays_under_the_block_budget(self):
         # the general path held (L, 2 T2) residuals and their whitened copies for every trial of a chunk
@@ -641,30 +681,33 @@ class TestKernel:
         assert peak <= BLOCK_BYTES + 8 * n
 
     def test_layout_without_tables_matches_kernel(self):
-        for code, path, groups, symbols in (
-            (alamouti(), "scalar", 1, [[0], [1]]),
-            (square_cod(8), "diagonal", 8, [[0, 1, 2, 3]]),
-            (cuw_ssd(8), "diagonal", 4, [list(range(6))]),
-            (clifford_4x4(), "scalar", 1, [[0], [1], [2], [3]]),
+        # the codes without a multi-symbol group size their row blocks from the whole block budget
+        for code, path, groups, symbols, rows in (
+            (alamouti(), "scalar", 1, [[0], [1]], 5349),
+            (square_cod(8), "diagonal", 8, [[0, 1, 2, 3]], None),
+            (cuw_ssd(8), "diagonal", 4, [list(range(6))], None),
+            (clifford_4x4(), "scalar", 1, [[0], [1], [2], [3]], 1892),
         ):
             kernel = _Kernel(code, Constellation.qpsk(), partial_csi=True)
             assert (kernel.noise_path, len(kernel.slot_groups)) == (path, groups)
             summary = kernel.summary()
             assert summary["noise_groups"] == groups and summary["codewords"] == 4**code.K
-            assert summary["symbol_groups"] == symbols
-            assert summary["decode_candidates"] == sum(4 ** len(g) for g in symbols if len(g) > 1)
+            assert summary["symbol_groups"] == symbols and "decode_candidates" not in summary
             assert summary["per_symbol_candidates"] == 4 * code.K
-            assert summary["block_rows"] >= 3
+            assert summary["block_rows"] == rows if rows else summary["block_rows"] >= 3
         kernel, _, _ = kernel_batch(square_cod(8), 10.0, 2, seed=27)
-        table = kernel.table
+        table = joint_rows(kernel, range(4), kernel.symbol_digits(np.arange(kernel.L)))
         assert table.shape == (kernel.L, kernel.summary()["feature_width"])
         # the diagonal path keeps no monomial that is zero for every codeword
         assert np.all(np.any(table != 0, axis=0))
         assert table.shape[1] < 8 + 36  # [x, x_j x_i]: 4 of the 36 products are never weighed
-        # a decoupled code holds one per-symbol row per symbol value, no joint row and none per codeword
+        # the oracle's split metric is the joint table's argmin
+        psi = np.random.default_rng(28).standard_normal((50, table.shape[1]))
+        assert np.array_equal(joint_argmin(kernel, psi, rows=5), np.argmin(psi @ table.T, axis=1))
+        # a decoupled code holds one per-symbol row per symbol value and none per codeword
         kernel, _, _ = kernel_batch(block_diagonal_extend(cuw_ssd(4), 2), 10.0, 2, seed=27)
         assert kernel.L == 65536 and kernel.sym_table.shape == (8 * 4, kernel.summary()["feature_width"])
-        assert kernel.table.shape == (0, kernel.summary()["feature_width"])
+        assert kernel.certified == ()
 
     @pytest.mark.parametrize(
         "code, con",
@@ -674,8 +717,8 @@ class TestKernel:
     )
     def test_symbol_groups_decide_as_the_joint_table(self, code, con):
         kernel = _Kernel(code, con, partial_csi=True)
-        assert kernel.symbol_groups == tuple((m,) for m in range(code.K))
-        assert len(kernel.sym_table) == code.K * con.size and len(kernel.table) == 0
+        assert kernel.symbol_groups == tuple((m,) for m in range(code.K)) and kernel.certified == ()
+        assert len(kernel.sym_table) == code.K * con.size
         joint = _monomial_table(codebook_symbol_vectors(code, con)[0], kernel.monomials)
         n = 120 if kernel.L > 4096 else 400
         for p in (3.0, 30.0, 1000.0):
@@ -692,7 +735,8 @@ class TestKernel:
         ids=["cuw8-partial", "cuw8-full", "ciod8-partial", "ciod8-full", "cod8-qam16"],
     )
     def test_certified_groups_decide_as_the_joint_table(self, family, con, partial_csi):
-        # the per-symbol decision stands only under its certificate; the joint GEMM's argmin is the oracle
+        # the per-symbol decision stands only under its certificate, the list decision elsewhere; a joint argmin
+        # over the codebook is the oracle
         code = FAMILIES[family]()
         kernel = _Kernel(code, con, partial_csi)
         assert kernel.certified == kernel.symbol_groups == (tuple(range(code.K)),)
@@ -701,18 +745,16 @@ class TestKernel:
         rates = []
         for snr in (0.0, 5.0, 10.0, 20.0, 30.0):
             _, pa, batch = kernel_batch(code, 10 ** (snr / 10), n, seed=32, kernel=kernel)
-            psi = kernel.coefficients(pa, *batch)
-            want = np.concatenate([np.argmin(psi[lo:lo + 20] @ kernel.table.T, axis=1) for lo in range(0, n, 20)])
             dec, sure = kernel.decode_batch(pa, *batch)
-            assert np.array_equal(dec, kernel.places[want])
+            assert np.array_equal(dec, joint_argmin(kernel, kernel.coefficients(pa, *batch)))
             rates.append(sure / n)
-        # both paths ran: some trials fell back to the joint table, most did not
+        # both paths ran: some trials were decoded from the lists, most were certified
         assert min(rates) < 1.0 and max(rates) > 0.5
 
     @pytest.mark.parametrize("code", [square_cod(4), square_cod(8)], ids=["cod4", "cod8"])
     def test_small_groups_certified_match_the_oracle(self, code):
         kernel, pa, batch = kernel_batch(code, 10.0, 150, seed=33)
-        assert kernel.certified == kernel.symbol_groups and kernel.spans == [(0, kernel.L)]
+        assert kernel.certified == kernel.symbol_groups == (tuple(range(code.K)),)
         dec, sure = kernel.decode_batch(pa, *batch)
         assert list(dec) == reference_decisions(code, pa, batch)
         assert 0 < sure < 150
@@ -743,7 +785,7 @@ class TestKernel:
         code = LinearDispersionCode(tuple(weights[0]), tuple(weights[1]), name="cod8+alamouti")
         kernel, pa, batch = kernel_batch(code, 10.0, 60, seed=35)
         assert kernel.symbol_groups == ((0, 1, 2, 3), (4,), (5,)) and kernel.certified == ((0, 1, 2, 3),)
-        assert len(kernel.sym_table) == 6 * 4 and kernel.spans == [(0, 256)] and len(kernel.table) == 256
+        assert len(kernel.sym_table) == 6 * 4
         dec, sure = kernel.decode_batch(pa, *batch)
         assert list(dec) == reference_decisions(code, pa, batch) and 0 < sure < 60
 
@@ -758,8 +800,38 @@ class TestKernel:
             block = tuple(a[rows] for a in batch)
             dec, sure_rows = kernel.decode_batch(pa, *block)
             assert sure_rows == 9
-            want = kernel.places[np.argmin(kernel.coefficients(pa, *block) @ kernel.table.T, axis=1)]
-            assert np.array_equal(dec, want)
+            assert np.array_equal(dec, joint_argmin(kernel, kernel.coefficients(pa, *block)))
+
+    def test_exact_tie_decodes_to_the_lower_codeword(self, monkeypatch):
+        # psi weighs one cross monomial x_j x_i alone: every per-symbol metric is 0, so no trial is certified and
+        # every codeword is a candidate; x_j x_i = -9 s^2 ties exactly on many codewords, across many pieces
+        code = square_cod(8)
+        kernel = _Kernel(code, Constellation.qam16(), partial_csi=True)
+        j, i = kernel.monomials
+        width = kernel.sym_table.shape[1]
+        assert kernel.L * 8 * width > 10 * relay_channel_sim.PIECE_BYTES  # the candidates' rows alone
+        cross = np.flatnonzero(j % 4 != i % 4)
+        psi = np.zeros((3, width))
+        psi[np.arange(3), 8 + cross[[0, len(cross) // 2, -1]]] = [1.0, -2.0, 0.5]
+        monkeypatch.setattr(kernel, "coefficients", lambda *batch: psi)
+        dec, sure = kernel.decode_batch(None, *([None] * 5))
+        digits = kernel.symbol_digits(np.arange(kernel.L))
+        reals = np.hstack([kernel.points[digits].real, kernel.points[digits].imag])
+        for t in range(3):
+            c = 8 + np.flatnonzero(psi[t, 8:])[0]
+            value = psi[t, c] * reals[:, j[c - 8]] * reals[:, i[c - 8]]  # exact: one product of two points
+            ties = np.flatnonzero(value == value.min())
+            assert len(ties) > 1 and dec[t] == ties[0]
+        assert sure == 0
+
+    def test_piece_size_does_not_change_decisions(self, monkeypatch):
+        # one-tuple pieces split every uncertified trial's candidates over as many pieces as it has tuples
+        kernel, pa, batch = kernel_batch(cuw_ssd(8), 1.0, 300, seed=37)
+        dec, sure = kernel.decode_batch(pa, *batch)
+        assert sure < 250
+        monkeypatch.setattr(relay_channel_sim, "PIECE_BYTES", 1)
+        assert np.array_equal(kernel.decode_batch(pa, *batch)[0], dec)
+        assert np.array_equal(dec, joint_argmin(kernel, kernel.coefficients(pa, *batch)))
 
     @pytest.mark.parametrize(
         "code, width",
@@ -784,18 +856,13 @@ class TestKernel:
         ids=[c.name for c in SINGLE_SYMBOL_CODES + COUPLED_CODES],
     )
     def test_kernel_holds_no_per_codeword_array(self, code, joint):
-        # symbols and digits come from the codeword index; only a joint group's table has a row per codeword
+        # symbols and digits come from the codeword index, and a joint group's candidates from per-symbol lists
         kernel = _Kernel(code, Constellation.qpsk(), partial_csi=True)
-        per_codeword = [v for v in vars(kernel).values() if isinstance(v, np.ndarray) and len(v) == kernel.L]
-        assert len(kernel.sym_table) == code.K * 4
-        if joint:
-            assert len(kernel.table) == len(kernel.places) == kernel.L
-            assert all(v is kernel.table or v is kernel.places for v in per_codeword)
-        else:
-            assert per_codeword == [] and len(kernel.table) == len(kernel.places) == 0
+        arrays = [v for value in vars(kernel).values() for v in (value if isinstance(value, tuple) else (value,))]
+        assert [v for v in arrays if isinstance(v, np.ndarray) and kernel.L in v.shape] == []
+        assert len(kernel.sym_table) == code.K * 4 and bool(kernel.certified) == joint
         idx = np.arange(kernel.L)
         assert np.array_equal(kernel.symbol_digits(idx), codebook_symbol_vectors(code, Constellation.qpsk())[1])
-        assert kernel.nbytes <= kernel.kernel_bytes
 
     @pytest.mark.parametrize("code", COUPLED_CODES, ids=lambda c: c.name)
     def test_coupled_codes_are_refused_by_the_oracle(self, code):
@@ -813,29 +880,24 @@ class TestKernel:
                 sig = simulate_transmission(code, sym[int(rng.integers(0, len(sym)))], ch, pa, rng)
                 group_ml_decode(sig, code, groups, values, ch, pa)
 
-    def test_oversized_codebook_is_refused_before_allocating(self, monkeypatch):
-        code, qam16 = cuw_ssd(8), Constellation.qam16()
-        tracemalloc.start()
-        start = time.perf_counter()
-        try:
-            with pytest.raises(ParameterError, match="16777216 codewords need about") as refusal:
-                _Kernel(code, qam16, partial_csi=True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the forms only: a six-hundredth of the 9.8 GiB the table alone would take
-        assert peak < 16 * 2**20 and time.perf_counter() - start < 5.0
-        estimate = float(re.search(r"need about ([0-9.]+) GiB", str(refusal.value)).group(1))
-        assert estimate * 2**30 > 8 * 78 * 16**6  # more than the 9.8 GiB table
-        # the bound is half of the machine's memory
-        kernel = _Kernel(square_cod(8), Constellation.qpsk(), partial_csi=True)
-        need = kernel.kernel_bytes
-        assert need >= kernel.nbytes
-        monkeypatch.setattr(relay_channel_sim, "_physical_memory", lambda: 2 * need - 2)
-        with pytest.raises(ParameterError, match="256 codewords"):
-            _Kernel(square_cod(8), Constellation.qpsk(), partial_csi=True)
-        monkeypatch.setattr(relay_channel_sim, "_physical_memory", lambda: 2 * need)
-        _Kernel(square_cod(8), Constellation.qpsk(), partial_csi=True)
+    def test_oversized_codebook_is_refused_before_allocating(self):
+        # only the 64-bit codeword index bounds the codebook: cuw8 on 16-QAM (16.7 M codewords, whose joint rows
+        # would take 9.8 GiB) builds from its forms and a 96-row per-symbol table, cuw4 x4 on 16-QAM is refused
+        qam16 = Constellation.qam16()
+        for code, codewords in ((cuw_ssd(8), 16**6), (block_diagonal_extend(cuw_ssd(4), 4), 16**16)):
+            tracemalloc.start()
+            start = time.perf_counter()
+            try:
+                if codewords < 2**63:
+                    kernel = _Kernel(code, qam16, partial_csi=True)
+                    assert kernel.L == codewords and len(kernel.sym_table) == 6 * 16 and kernel.nbytes < 2**20
+                else:
+                    with pytest.raises(ParameterError, match=f"{codewords} codewords do not fit"):
+                        _Kernel(code, qam16, partial_csi=True)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20 and time.perf_counter() - start < 5.0
 
     def test_block_diagonal_set_up_scales_with_the_terms_kept(self):
         # cuw4 x8: 8 slot groups, each hearing 4 of the 32 relays; a dense (monomial, group, relay pair)
@@ -882,20 +944,37 @@ class TestKernel:
         ref = reference_decisions(code, pa, batch, con)
         assert list(kernel.decode_batch(pa, *batch)[0]) == ref and len(set(ref)) > 1
 
-    @pytest.mark.parametrize("code, joint", [(square_cod(4), True), (alamouti(), False)], ids=["cod4", "alamouti"])
-    def test_qam16_per_symbol_decisions_match_the_oracle(self, code, joint):
-        # cod4's one group has 4096 joint rows on 16-QAM, the fallback of the trials left uncertified
+    @pytest.mark.parametrize(
+        "code, joint, n",
+        [(square_cod(4), True, 100), (alamouti(), False, 100), (square_cod(8), True, 30)],
+        ids=["cod4", "alamouti", "cod8"],
+    )
+    def test_qam16_per_symbol_decisions_match_the_oracle(self, code, joint, n):
+        # cod4 (4096 codewords) and cod8 (65536) on 16-QAM: the trials left uncertified are decoded from the lists
         con = Constellation.qam16()
         kernel = _Kernel(code, con, partial_csi=True)
-        assert len(kernel.table) == (16**3 if joint else 0) and len(kernel.sym_table) == code.K * 16
+        assert bool(kernel.certified) == joint and len(kernel.sym_table) == code.K * 16
         sure = []
         for snr in (0.0, 20.0):
-            _, pa, batch = kernel_batch(code, 10 ** (snr / 10), 100, seed=36, con=con, kernel=kernel)
+            _, pa, batch = kernel_batch(code, 10 ** (snr / 10), n, seed=36, con=con, kernel=kernel)
             dec, certified = kernel.decode_batch(pa, *batch)
             assert list(dec) == reference_decisions(code, pa, batch, con)
             sure.append(certified)
-        # with joint rows both paths ran: some trials certified, some scored on the joint rows
-        assert 0 < sum(sure) < 200 if joint else sure == [0, 0]
+        # with a multi-symbol group both paths ran: some trials certified, some decoded from the lists
+        assert 0 < sum(sure) < 2 * n if joint else sure == [0, 0]
+
+    @pytest.mark.parametrize("family", ["cuw8", "ciod8"])
+    def test_qam16_groups_of_six_decide_as_the_joint_argmin(self, family):
+        # 16.7 M codewords: the lists decide as the oracle's argmin over the whole digit grid
+        code = FAMILIES[family]()
+        kernel = _Kernel(code, Constellation.qam16(), partial_csi=True)
+        listed = 0
+        for snr in (0.0, 10.0, 20.0):
+            _, pa, batch = kernel_batch(code, 10 ** (snr / 10), 7, seed=38, con=Constellation.qam16(), kernel=kernel)
+            dec, sure = kernel.decode_batch(pa, *batch)
+            assert np.array_equal(dec, joint_argmin(kernel, kernel.coefficients(pa, *batch)))
+            listed += 7 - sure
+        assert listed > 5
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3))
