@@ -26,7 +26,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
+from functools import cache
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .diversity_analyzer import (
     enumerate_codebook,
     optimize_rotation,
 )
-from .dmg_analysis import OUTAGE_SEED_STRIDE, channel_stat_samples, empirical_outage, ks_two_sample
+from .dmg_analysis import OUTAGE_SEED_STRIDE, channel_stat_samples, ks_two_sample, outage_fraction
 from .errors import ParameterError
 from .matrix_core import RANK_TOL
 from .relay_channel_sim import SimConfig, monte_carlo_ber
@@ -301,35 +301,40 @@ def cmd_dmg(args) -> int:
     manifest = _manifest_path(args, "dmg")
     _check_writable(args.out, manifest)
 
-    def ks(k, rho):
-        a = channel_stat_samples(args.relays, rho, args.samples, True, args.seed + 2 * k).values
-        b = channel_stat_samples(args.relays, rho, args.samples, False, args.seed + 2 * k + 1).values
-        return ks_two_sample(a, b, alpha=0.01)
-
-    def outage(k, rho, seed, partial_csi):
-        # rho number k of empirical_outage's grid is drawn from seed + k * stride
-        grid_seed = seed + OUTAGE_SEED_STRIDE * k
-        return empirical_outage(args.relays, [rho], args.rate, args.samples, grid_seed, partial_csi)[0]
-
-    # each job holds at most two sample sets, so memory grows with the workers, not with the rho grid
-    jobs = [
-        job
-        for k, rho in enumerate(args.rho)
-        for job in (
-            partial(ks, k, rho),
-            partial(outage, k, rho, args.seed, True),
-            partial(outage, k, rho, args.seed + _DMG_OUTAGE_OFFSET, False),
-        )
+    # a sample set is keyed (seed, rho, partial_csi): per rho number k a KS pair, then the outage
+    # draws with and without phase compensation, from seed + k * stride as empirical_outage draws
+    # rho number k of its grid. The KS pair at k = 0 and the phase-CSI outage there are one set.
+    ks_sets = [
+        ((args.seed + 2 * k, rho, True), (args.seed + 2 * k + 1, rho, False)) for k, rho in enumerate(args.rho)
     ]
+    outage_sets = [
+        (args.seed + offset + OUTAGE_SEED_STRIDE * k, rho, partial_csi)
+        for k, rho in enumerate(args.rho)
+        for offset, partial_csi in ((0, True), (_DMG_OUTAGE_OFFSET, False))
+    ]
+    # one job per KS pair and per outage set no pair holds: each distinct set is drawn once, by the
+    # job that computes every statistic reading it, and a job holds at most two sets, so memory
+    # grows with the workers, not with the rho grid
+    owner = {key: pair for pair in ks_sets for key in pair}
+    jobs = {pair: [] for pair in ks_sets}  # the sets a job draws -> the outage positions it computes; KS jobs first
+    for i, key in enumerate(outage_sets):
+        jobs.setdefault(owner.get(key, (key,)), []).append(i)
+
+    def run(sets, outages):
+        samples = {key: channel_stat_samples(args.relays, key[1], args.samples, key[2], key[0]) for key in sets}
+        ks = ks_two_sample(*(s.values for s in samples.values()), alpha=0.01) if len(sets) == 2 else None
+        return ks, [(i, outage_fraction(samples[outage_sets[i]], args.rate)) for i in outages]
+
     workers = min(args.threads, len(jobs))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda job: job(), jobs))
+            results = list(pool.map(run, jobs, jobs.values()))
     else:
-        results = [job() for job in jobs]
+        results = list(map(run, jobs, jobs.values()))
+    outage = dict(pair for _, fractions in results for pair in fractions)  # outage position -> fraction
     lines = ["rho,ks_stat,reject,outage_phase_csi,outage_full_f"]
     for k, rho in enumerate(args.rho):
-        (stat, reject), outage_a, outage_b = results[3 * k : 3 * k + 3]
+        (stat, reject), outage_a, outage_b = results[k][0], outage[2 * k], outage[2 * k + 1]
         lines.append(
             f"{_csv_float(rho)},{_csv_float(stat)},{int(reject)},"
             f"{_csv_float(outage_a)},{_csv_float(outage_b)}"
@@ -450,9 +455,16 @@ def _apply_config(parser: argparse.ArgumentParser, args, argv: list, defaults) -
         setattr(args, action.dest, value)
 
 
+# kept per process: building the tree costs about 2 ms, more than many short calls' own work,
+# and parsing leaves no state in it
+@cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

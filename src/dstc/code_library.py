@@ -174,15 +174,12 @@ def square_cod(n: int) -> LinearDispersionCode:
 
 def is_cod(code: LinearDispersionCode, tol: float = 1e-8, checks: int = 20) -> bool:
     """True if X(x)^H X(x) = (sum |x_k|^2) I on random symbol draws."""
-    rng = np.random.default_rng(1234)
-    eye = np.eye(code.N)
-    for _ in range(checks):
-        x = rng.standard_normal(code.K) + 1j * rng.standard_normal(code.K)
-        s = code.codeword(x)
-        gram = s.conj().T @ s
-        if np.max(np.abs(gram - np.sum(np.abs(x) ** 2) * eye)) > tol:
-            return False
-    return True
+    parts = np.random.default_rng(1234).standard_normal((checks, 2, code.K))  # per check: real, then imaginary
+    reals = parts.transpose(0, 2, 1).reshape(checks, 2 * code.K)  # interleaved as codeword_real takes them
+    s = np.einsum("ck,ktn->ctn", reals, code.real_weights())
+    gram = s.conj().swapaxes(1, 2) @ s
+    power = np.sum(parts**2, axis=(1, 2))
+    return bool(np.max(np.abs(gram - power[:, None, None] * np.eye(code.N))) <= tol)
 
 
 def gciod(theta1: LinearDispersionCode, theta2: LinearDispersionCode) -> LinearDispersionCode:

@@ -151,6 +151,11 @@ def empirical_outage(
     out = []
     for k, rho in enumerate(rho_grid):
         sample = channel_stat_samples(n_relays, float(rho), n, partial_csi, seed + OUTAGE_SEED_STRIDE * k)
-        threshold = rate * np.log2(max(float(rho), 1e-300))
-        out.append(float(np.mean(np.log2(sample.values) < threshold)))
+        out.append(outage_fraction(sample, rate))
     return np.asarray(out)
+
+
+def outage_fraction(sample: ChannelStatSample, rate: float) -> float:
+    """Fraction of the sample's draws with log2(statistic) < rate * log2(rho)."""
+    threshold = rate * np.log2(max(sample.rho, 1e-300))
+    return float(np.mean(np.log2(sample.values) < threshold))

@@ -36,9 +36,11 @@ within that bound, and ties go to the lowest codeword. No decoder array
 grows with the codebook, so its size is bounded only by the 64-bit codeword
 index. The tables depend only on the code, the constellation and the CSI
 mode; they are built once per distinct content and kept in a byte-bounded
-cache shared by every call. While a call runs more than one worker, numpy's
-OpenBLAS is held at one thread, so the workers do not oversubscribe the
-cores.
+cache shared by every call. While a call runs, numpy's OpenBLAS is held at
+one thread whatever the number of workers, so the worker pool is the
+kernel's only parallelism: the workers do not oversubscribe the cores, and
+a one-worker call's small GEMMs leave no busy BLAS thread behind to slow
+the caller's next work.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -947,7 +949,7 @@ def _openblas_thread_api():
 
 
 class _BlasThreads:
-    """Holds numpy's OpenBLAS at one thread while any multi-worker call runs.
+    """Holds numpy's OpenBLAS at one thread while any Monte Carlo call runs.
 
     The thread count is process-wide, so concurrent callers share one
     reference count: the first to enter saves the count and sets 1, the last
@@ -1001,8 +1003,8 @@ def monte_carlo_ber(cfg: SimConfig, telemetry: dict | None = None) -> list[BerPo
     """Per-SNR codeword/bit error estimates, deterministic given the seed.
 
     Trials are processed in fixed-size chunks with independent counter-based
-    RNG streams; results are identical for any thread count. With more than
-    one worker, numpy's OpenBLAS runs at one thread until the call returns.
+    RNG streams; results are identical for any thread count. numpy's
+    OpenBLAS runs at one thread until the call returns, with one worker too.
     ``telemetry``, when given, receives the decoder summary with
     ``block_rows`` the largest row block the call ran, ``kernel_build_s``
     (0 when the kernel came from the cache),
@@ -1033,7 +1035,7 @@ def monte_carlo_ber(cfg: SimConfig, telemetry: dict | None = None) -> list[BerPo
         return snr_idx, counts, start, time.perf_counter()
 
     workers = min(cfg.threads, len(jobs))
-    with _BLAS.one_thread() if workers > 1 else nullcontext():
+    with _BLAS.one_thread():
         if telemetry is not None:
             telemetry.update(workers=workers, blas_threads_per_worker=_BLAS.count())
         if workers > 1:

@@ -12,6 +12,7 @@ from dstc import cli, relay_channel_sim
 from dstc.cli import main
 from dstc.code_library import alamouti, block_diagonal_extend, cuw_ssd, load_bundle, to_bundle
 from dstc.diversity_analyzer import Constellation, optimize_rotation
+from dstc.dmg_analysis import OUTAGE_SEED_STRIDE, channel_stat_samples, empirical_outage, ks_two_sample
 from dstc.errors import ParameterError
 
 
@@ -212,10 +213,10 @@ class TestSimulate:
         built, reused, pooled = decoders
         assert built["kernel_reused"] is False and built["kernel_build_s"] > 0
         assert reused["kernel_reused"] is True and reused["kernel_build_s"] == 0
-        blas = relay_channel_sim._BLAS.count()  # the count in force outside a multi-worker call
+        blas = relay_channel_sim._BLAS.count()  # None when the library cannot be reached
         assert built["workers"] == reused["workers"] == 1 and pooled["workers"] == 2
-        assert built["blas_threads_per_worker"] == reused["blas_threads_per_worker"] == blas
-        assert pooled["blas_threads_per_worker"] == (None if blas is None else 1)
+        held = [d["blas_threads_per_worker"] for d in decoders]  # every call holds one thread, one worker too
+        assert held == [None if blas is None else 1] * 3
 
     def test_manifest_records_per_snr_timing(self, tmp_path, capsys):
         args = ["simulate", "--family", "alamouti", "--snr-db", "5,10,15", "--trials", "300,200,100", "--chunk", 64]
@@ -338,7 +339,7 @@ class TestDmg:
         outs = [tmp_path / f"{threads}.csv" for threads in (8, 2, 1)]
         for threads, out in zip((8, 2, 1), outs):
             assert run(args + ["--threads", threads, "--out", out]) == 0
-        assert pools == [6, 2]  # three jobs per rho value in one pool; one thread runs inline
+        assert pools == [5, 2]  # five jobs for two rho values in one pool; one thread runs inline
         assert len({out.read_bytes() for out in outs}) == 1
         assert run(args + ["--threads", 0, "--out", tmp_path / "x.csv"]) == 2
         err = capsys.readouterr().err
@@ -346,13 +347,53 @@ class TestDmg:
 
     def test_manifest_records_workers_and_process(self, tmp_path):
         args = ["dmg", "--relays", 2, "--rho", "1", "--samples", 500, "--out", tmp_path / "x.csv"]
-        for threads, workers in ((1, 1), (2, 2), (8, 3)):  # three jobs for one rho value
+        for threads, workers in ((1, 1), (2, 2), (8, 2)):  # two jobs for one rho value
             assert run(args + ["--threads", threads]) == 0
             manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
             assert manifest["workers"] == workers and manifest["config"]["threads"] == threads
             assert manifest["peak_rss_mb"] > 0
             assert manifest["versions"]["numpy"] == np.__version__
             assert manifest["versions"]["python"] == platform.python_version()
+
+    @pytest.mark.parametrize("rho", ["5", "2,2,30", "1,10,100,1000"])
+    def test_each_sample_set_is_drawn_once(self, tmp_path, monkeypatch, rho):
+        drawn = []
+        real = cli.channel_stat_samples
+
+        def spy(n_relays, rho, n, partial_csi, seed):
+            drawn.append((seed, rho, partial_csi))
+            return real(n_relays, rho, n, partial_csi, seed)
+
+        monkeypatch.setattr(cli, "channel_stat_samples", spy)
+        assert run(["dmg", "--rho", rho, "--samples", 500, "--threads", 2, "--out", tmp_path / "x.csv"]) == 0
+        # per rho value a KS pair and two outage sets, of which the first outage at rho number 0 is the KS pair's first
+        assert len(drawn) == len(set(drawn)) == 4 * len(rho.split(",")) - 1
+
+    @staticmethod
+    def per_job_csv(relays, rhos, samples, seed):
+        """The CSV as drawn with one job per statistic, each drawing its own sample sets."""
+        lines = ["rho,ks_stat,reject,outage_phase_csi,outage_full_f"]
+        for k, rho in enumerate(rhos):
+            a = channel_stat_samples(relays, rho, samples, True, seed + 2 * k).values
+            b = channel_stat_samples(relays, rho, samples, False, seed + 2 * k + 1).values
+            stat, reject = ks_two_sample(a, b, alpha=0.01)
+            outage = [
+                empirical_outage(relays, [rho], 0.5, samples, s + OUTAGE_SEED_STRIDE * k, csi)[0]
+                for s, csi in ((seed, True), (seed + cli._DMG_OUTAGE_OFFSET, False))
+            ]
+            lines.append(f"{float(rho)!r},{float(stat)!r},{int(reject)},{float(outage[0])!r},{float(outage[1])!r}")
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("rho", [[4.0], [2.0, 2.0, 30.0], None], ids=["one", "repeated", "default"])
+    def test_csv_equals_one_job_per_statistic(self, tmp_path, rho):
+        rhos = rho or cli.build_parser().parse_args(["dmg"]).rho
+        for seed in (0, 3, 11):
+            want = self.per_job_csv(3, rhos, 2000, seed)
+            for threads in (1, 2, 3):
+                out = tmp_path / f"{seed}-{threads}.csv"
+                args = ["dmg", "--relays", 3, "--samples", 2000, "--seed", seed, "--threads", threads, "--out", out]
+                assert run(args + (["--rho", ",".join(map(str, rho))] if rho else [])) == 0
+                assert out.read_text() == want
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -399,6 +440,44 @@ class TestDefaultThreads:
             manifest = json.loads((tmp_path / f"{threads}.csv.manifest.json").read_text())
             assert manifest["config"]["threads"] == (threads or cli._available_cpus())
         assert len(texts) == 1
+
+
+class TestParser:
+    def test_consecutive_calls_share_one_parser(self, tmp_path, capsys, monkeypatch):
+        built = []
+        real_build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real_build())
+        cli._parser.cache_clear()
+        try:
+            assert run(["construct", "--family", "alamouti", "--out", tmp_path / "a.json"]) == 0
+            assert run(["verify", "--bundle", tmp_path / "a.json"]) == 0
+            assert run(["dmg", "--rho", "1", "--samples", 100, "--out", tmp_path / "x.csv"]) == 0
+            assert cli._parser() is cli._parser()
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+
+    def test_config_values_do_not_outlive_their_call(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"relays": 3, "rho": [3, 4], "rate": 0.25, "seed": 9}))
+        out = tmp_path / "x.csv"
+        assert run(["--config", cfg, "dmg", "--samples", 200, "--out", out]) == 0
+        config = json.loads((tmp_path / "x.csv.manifest.json").read_text())["config"]
+        assert (config["relays"], config["rho"], config["rate"], config["seed"]) == (3, [3.0, 4.0], 0.25, 9)
+        assert run(["dmg", "--samples", 200, "--out", out]) == 0
+        config = json.loads((tmp_path / "x.csv.manifest.json").read_text())["config"]
+        defaults = vars(cli.build_parser().parse_args(["dmg"]))
+        keys = ("config", "relays", "rho", "rate", "seed")
+        assert [config[key] for key in keys] == [defaults[key] for key in keys] and config["config"] is None
+        assert len(out.read_text().splitlines()) == 1 + len(defaults["rho"])
+
+    def test_a_rejected_call_leaves_the_next_call_working(self, tmp_path, capsys):
+        assert run(["dmg", "--samples", "many"]) == 2
+        assert run(["simulate", "--no-such-flag"]) == 2
+        assert run(["nope"]) == 2
+        capsys.readouterr()
+        assert run(["dmg", "--rho", "1", "--samples", 100, "--out", tmp_path / "x.csv"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestConfigFile:

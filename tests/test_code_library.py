@@ -363,7 +363,33 @@ class TestBundles:
         assert list(doc) == sorted(doc)
 
 
+def is_cod_loop(code, tol=1e-8, checks=20):
+    """The check ``is_cod`` batches, one codeword and one Gram per random symbol vector, in the same draws."""
+    rng = np.random.default_rng(1234)
+    eye = np.eye(code.N)
+    for _ in range(checks):
+        x = rng.standard_normal(code.K) + 1j * rng.standard_normal(code.K)
+        s = code.codeword(x)
+        if np.max(np.abs(s.conj().T @ s - np.sum(np.abs(x) ** 2) * eye)) > tol:
+            return False
+    return True
+
+
 class TestIsCod:
+    def test_batched_check_agrees_with_the_loop(self):
+        codes = [make() for make in FAMILIES.values()] + [scalar_cod(), block_diagonal_extend(square_cod(4), 2)]
+        verdicts = [is_cod(code) for code in codes]
+        assert verdicts == [is_cod_loop(code) for code in codes]
+        assert sorted(c.name for c, ok in zip(codes, verdicts) if ok) == ["alamouti", "cod2", "cod4", "cod8", "scalar"]
+        cod8 = square_cod(8)
+        wi = list(cod8.weights_i)
+        wi[2] = wi[2].copy()
+        wi[2][5, 3] += 1e-6  # a perturbed design that must fail
+        perturbed = LinearDispersionCode(tuple(wi), cod8.weights_q)
+        for checks in (1, 20):
+            assert not is_cod(perturbed, checks=checks) and not is_cod_loop(perturbed, checks=checks)
+            assert is_cod(cod8, checks=checks) and is_cod_loop(cod8, checks=checks)
+
     def test_accepts_orthogonal_designs(self):
         assert is_cod(alamouti()) and is_cod(square_cod(4)) and is_cod(square_cod(8))
 

@@ -1307,25 +1307,21 @@ class TestBlasThreads:
             t.join(timeout=120)
         assert not any(t.is_alive() for t in threads)
         assert results == serial
-        assert get() == 2 and calls == [1, 2]
+        assert get() == 2 and calls == [1, 2] * 3  # each serial call sets and restores, then the overlap once
 
-    def test_single_worker_calls_leave_blas_alone(self, blas_spy, monkeypatch):
+    def test_single_worker_calls_hold_one_thread(self, blas_spy, monkeypatch):
         get, calls = blas_spy
-        lookups = []
-
-        def resolve():
-            lookups.append(1)
-            return get, calls.append
-
-        monkeypatch.setattr(relay_channel_sim, "_BLAS", relay_channel_sim._BlasThreads(resolve))
-        monte_carlo_ber(blas_config(5, threads=1, trials=(3_000,)))
-        monte_carlo_ber(blas_config(5, threads=4, trials=(1_000,)))  # one chunk: one worker
-        assert lookups == []  # looked up on first use, not for a call that needs nothing from it
+        api, lookups = relay_channel_sim._BLAS._resolve(), []
+        guard = relay_channel_sim._BlasThreads(lambda: lookups.append(1) or api)
+        monkeypatch.setattr(relay_channel_sim, "_BLAS", guard)
         telemetry = {}
         monte_carlo_ber(blas_config(5, threads=1, trials=(3_000,)), telemetry=telemetry)
-        assert telemetry["workers"] == 1 and telemetry["blas_threads_per_worker"] == 2
+        assert telemetry["workers"] == 1 and telemetry["blas_threads_per_worker"] == 1
+        assert calls == [1, 2] and get() == 2
+        monte_carlo_ber(blas_config(5, threads=4, trials=(1_000,)))  # one chunk: one worker
         monte_carlo_ber(blas_config(5, threads=2, trials=(3_000,)))
-        assert lookups == [1] and calls == [1, 2] and get() == 2
+        assert calls == [1, 2] * 3 and get() == 2
+        assert lookups == [1]  # looked up on the first call, once per process
 
     def test_unreachable_library_changes_nothing(self, monkeypatch):
         monkeypatch.setattr(relay_channel_sim, "_BLAS", relay_channel_sim._BlasThreads(lambda: None))
