@@ -481,8 +481,8 @@ def main(argv=None) -> int:
         if args.config:
             _apply_config(parser, args, argv, defaults)
         return _DISPATCH[args.command](args)
-    except (ValueError, OSError) as exc:  # bad input or a file that cannot be read or written
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:  # bad input, a file not read or written, a size not allocated
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)  # numpy names the array's bytes and shape
         return 2
 
 

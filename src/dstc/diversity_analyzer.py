@@ -68,10 +68,6 @@ class Constellation:
     def mean_energy(self) -> float:
         return float(np.mean(np.abs(np.asarray(self.points)) ** 2))
 
-    def normalized(self) -> "Constellation":
-        scale = 1.0 / np.sqrt(self.mean_energy())
-        return Constellation(self.name, tuple(complex(p * scale) for p in self.points), self.labels)
-
     @staticmethod
     def bpsk() -> "Constellation":
         return Constellation("bpsk", (1 + 0j, -1 + 0j))
@@ -275,8 +271,8 @@ def analyze_codebook(codebook, tol: float = RANK_TOL) -> CodebookAnalysis:
         raise ParameterError("need at least two codewords")
     if L > PAIR_SCAN_BUDGET:
         raise EnumerationBudgetError(
-            f"full pair scan waived above {PAIR_SCAN_BUDGET} codewords (got {L}); "
-            "use the per-group difference scan for precoded block designs"
+            f"the full pair scan takes at most {PAIR_SCAN_BUDGET} codewords (got {L}); "
+            "in dstc analyze, choose a smaller --constellation or fewer --blocks"
         )
     full = min(T, N)
     min_rank = full

@@ -547,9 +547,8 @@ def _symbol_groups(monomials: tuple, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted({tuple(np.flatnonzero(row).tolist()) for row in reach}))
 
 
-def _monomial_table(sym: np.ndarray, monomials: tuple) -> np.ndarray:
-    """Table rows [x, x_j x_i for the pairs (j, i) in ``monomials``] of source vectors ``sym`` (n, K)."""
-    x = np.hstack([sym.real, sym.imag])
+def _monomial_table(x: np.ndarray, monomials: tuple) -> np.ndarray:
+    """Table rows [x, x_j x_i for the pairs (j, i) in ``monomials``] of real symbol vectors ``x`` (n, 2K)."""
     j, i = monomials
     return np.hstack([x, x[:, j] * x[:, i]])
 
@@ -584,12 +583,13 @@ class _Kernel:
     to any candidate, so when every symbol's best point beats its second
     best by more than 2 eps plus twice the rounding slack, the symbols' best
     points are the joint argmin (a bound-and-prune form of real-lattice ML).
-    A trial not so certified is decoded from per-symbol lists (see
-    ``_list_decode``): its joint ML decision's summed excess over the
-    symbols' best metrics is within the same bound, so only the tuples of
-    points within it are scored, and ties go to the lowest codeword as in an
-    argmin over the codebook. The sent symbols and their digits come from
-    the codeword index, so no kernel array grows with the codebook.
+    A trial not so certified is decoded by a depth-first search over its
+    symbols' points (see ``_list_decode``): its joint ML decision's summed
+    excess over the symbols' best metrics is within the same bound, so a
+    prefix of points already past it is dropped, only the full tuples within
+    it are scored, and ties go to the lowest codeword as in an argmin over
+    the codebook. The sent symbols and their digits come from the codeword
+    index, so no kernel array grows with the codebook.
 
     Under the ``scalar`` and ``diagonal`` noise paths the cooperation noise
     is white within each group of slots that share a per-relay noise
@@ -604,10 +604,9 @@ class _Kernel:
 
     A chunk runs draw, synthesis, decoding and counting in row blocks of at
     most ``block_rows`` trials, whose arrays fit ``BLOCK_BYTES`` less the
-    ``PIECE_BYTES`` a code with a multi-symbol group keeps for its candidate
-    pieces. A codebook past the 64-bit codeword index is refused before
-    anything is built. Read-only once built, so concurrent callers may share
-    one.
+    ``PIECE_BYTES`` a code with a multi-symbol group keeps for its search.
+    A codebook past the 64-bit codeword index is refused before anything is
+    built. Read-only once built, so concurrent callers may share one.
     """
 
     def __init__(self, code: LinearDispersionCode, con: Constellation, partial_csi: bool):
@@ -671,7 +670,7 @@ class _Kernel:
         # every symbol in turn taking each point, the other symbols 0
         sym = np.zeros((k * m, k), dtype=complex)
         sym[np.arange(k * m), np.repeat(np.arange(k), m)] = np.tile(self.points, k)
-        self.sym_table = _monomial_table(sym, self.monomials)
+        self.sym_table = _monomial_table(np.hstack([sym.real, sym.imag]), self.monomials)
         # |psi| @ margins.T is 2 (eps + slack) of each multi-symbol group: every column's largest
         # |entry| counts in full on the group's cross monomials and as slack on all its columns
         xmax = np.repeat([np.abs(self.points.real).max(), np.abs(self.points.imag).max()], k)
@@ -801,7 +800,7 @@ class _Kernel:
         Each symbol takes its best point from one real GEMM of psi against
         ``sym_table``. A multi-symbol group keeps its symbols' best points
         where the certificate holds and takes its best candidate from the
-        per-symbol lists elsewhere.
+        pruned search over its symbols' points elsewhere.
         """
         psi = self.coefficients(pa, g0, g, f, y1, y2)
         n = len(psi)
@@ -829,41 +828,44 @@ class _Kernel:
         return dec, int(np.count_nonzero(sure))
 
     def _list_decode(self, grp: list, psi: np.ndarray, excess: np.ndarray, bound: np.ndarray) -> np.ndarray:
-        """The points (u, G) of each trial's joint ML candidate for the symbols ``grp``, from per-symbol lists.
+        """The points (u, G) of each trial's joint ML candidate for the symbols ``grp``, by depth-first search.
 
         ``excess`` (u, G, M) is each symbol's metric over its best point's,
         and ``bound`` (u,) the certificate's 2 (eps + slack), which the joint
-        decision's summed excess cannot pass. Each symbol's list holds its
-        points within the bound, in point order. The tuples of list points
-        are taken in codeword order, first symbol most significant, in pieces
-        of at most ``PIECE_BYTES``; those whose summed excess is within the
-        bound are scored on their rows [x, x_j x_i] against psi. The first
+        decision's summed excess cannot pass. Excesses are >= 0, so prefixes
+        grow one symbol at a time and only those within the bound are kept.
+        A piece of prefixes is replaced by their kept extensions, by prefix
+        and then by point, pushed in pieces of at most ``step`` rows, the
+        last first: each trial meets its full tuples in codeword order. They
+        are scored on their rows [x, x_j x_i] against psi, and the first
         lowest metric wins, as in an argmin over the codebook.
         """
         u, size = excess.shape[:2]
-        listed = excess <= bound[:, None, None]
-        points = np.argsort(~listed, axis=2, kind="stable")  # each list first, in point order
-        lengths = listed.sum(axis=2)
-        radix = lengths[:, ::-1].cumprod(axis=1)[:, ::-1]  # tuples of the lists of each symbol onward
-        ends = radix[:, 0].cumsum()
-        starts = ends - radix[:, 0]
         xs = self.sym_table[:, : 2 * self.t1].reshape(self.t1, self.m, -1)[grp]  # (G, M, 2K): x of each point
-        j, i = self.monomials
         each = np.arange(size)
         lowest, won = np.full(u, np.inf), np.zeros((u, size), dtype=np.intp)
-        # per tuple: its trial, offset, digits and their gathers; per candidate: its x, row and psi
-        step = max(1, PIECE_BYTES // (8 * (6 * size + 3 * psi.shape[1])))
-        for lo in range(0, int(ends[-1]), step):
-            pos = np.arange(lo, min(lo + step, ends[-1]))
-            t = ends.searchsorted(pos, side="right")
-            r = radix[t]
-            # digit s of the tuple's offset in its trial: (offset mod radix_s) // (radix_s / length_s)
-            digits = (pos - starts[t])[:, None] % r * lengths[t] // r
-            pts = points[t[:, None], each, digits]
-            keep = excess[t[:, None], each, pts].sum(axis=1) <= bound[t]
-            t, pts = t[keep], pts[keep]
+        # 8-byte values per row of a piece: the stack, whose live expansions (at most one per symbol) hold M pieces
+        # of rows of a trial, its points and their summed excess; the expansion being made (sums, mask, indices and
+        # gathers); a full tuple's x gathers, monomial rows and psi
+        m, k2, width = self.m, xs.shape[2], psi.shape[1]
+        step = max(1, PIECE_BYTES // (8 * (m * size * (size + 2) + m * (size + 4) + k2 * (size + 1) + 4 * width)))
+
+        def pieces(level, *arrays):  # the rows in pieces of at most step rows, the last first
+            return [(level, *(a[lo : lo + step] for a in arrays)) for lo in range(0, len(arrays[0]), step)][::-1]
+
+        stack = pieces(0, np.arange(u), np.zeros((u, size), dtype=np.intp), np.zeros(u))
+        while stack:
+            level, t, pts, sums = stack.pop()
+            if level < size:  # np.take gathers these small arrays faster than indexing
+                total = excess[:, level].take(t, axis=0)
+                total += sums[:, None]
+                row, p = np.nonzero(total <= bound.take(t)[:, None])
+                pts = pts.take(row, axis=0)
+                pts[:, level] = p
+                stack += pieces(level + 1, t[row], pts, total[row, p])
+                continue
             x = xs[each, pts].sum(axis=1)  # one nonzero per column: exact
-            metric = np.einsum("cw,cw->c", np.hstack([x, x[:, j] * x[:, i]]), psi[t])
+            metric = np.einsum("cw,cw->c", _monomial_table(x, self.monomials), psi[t])
             order = np.lexsort((metric, t))  # by trial, then metric, then codeword
             ts = t[order]
             first = np.ones(len(t), dtype=bool)  # each trial's first lowest
@@ -1025,8 +1027,9 @@ def monte_carlo_ber(cfg: SimConfig, telemetry: dict | None = None) -> list[BerPo
     ]
     if telemetry is not None:
         telemetry.update(kernel.summary(), kernel_build_s=build_s, kernel_reused=reused)
-        sizes = {n for _, _, n in jobs}
-        telemetry["block_rows"] = max(hi - lo for n in sizes for lo, hi in _row_blocks(n, kernel.block_rows))
+        sizes, rows = {n for _, _, n in jobs}, kernel.block_rows
+        # a chunk's first block is its largest, and the same in every chunk of at least two blocks' rows
+        telemetry["block_rows"] = max(_row_blocks(min(n, 2 * rows), rows)[0][1] for n in sizes)
 
     def job(spec):
         snr_idx, ci, n = spec

@@ -566,14 +566,37 @@ class TestFlagsAndBadInput:
             (["analyze", "--family", "clifford4", "--rotate", "--rot-trials", "-5"], "error: "),
             (["simulate", "--family", "alamouti", "--trials", "10", "--chunk", "0"], "error: --chunk "),
             (["simulate", "--family", "alamouti", "--trials", "10", "--threads", "0"], "error: --threads "),
+            (["analyze", "--family", "cod8", "--constellation", "qam16"],
+             "error: the full pair scan takes at most 4096 codewords (got 65536); in dstc analyze, choose a smaller "
+             "--constellation or fewer --blocks"),
         ],
         ids=["tol-rank-negative", "tol-rank-nan", "tol-diag-nan", "pi-nan", "snr-nan", "snr-overflow", "blocks-0",
-             "blocks-negative", "relays-0", "rot-trials-negative", "chunk-0", "threads-0"],
+             "blocks-negative", "relays-0", "rot-trials-negative", "chunk-0", "threads-0", "pair-scan-budget"],
     )
     def test_bad_input_exits_two_with_one_line(self, tmp_path, capsys, args, prefix):
         assert run([*args, "--out", tmp_path / "x"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(prefix) and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "args, shape",
+        [
+            (["construct", "--family", "alamouti", "--blocks", "100000"], "(200000, 200000)"),
+            (["dmg", "--samples", str(10**15), "--threads", "1"], f"({10**15},)"),
+            (["dmg", "--relays", str(10**9), "--threads", "1"], f"(65536, {10**9})"),
+            (["simulate", "--family", "alamouti", "--snr-db", "10", "--trials", str(10**15), "--chunk", str(10**15),
+              "--threads", "1"], f"({10**15},)"),
+        ],
+        ids=["construct-blocks", "dmg-samples", "dmg-relays", "simulate-trials"],
+    )  # fmt: skip
+    def test_oversized_sizes_exit_two_with_one_line(self, tmp_path, capsys, args, shape):
+        # each run's first large array is far beyond any memory, so its allocation fails before any page is touched
+        start = time.perf_counter()
+        assert run([*args, "--out", tmp_path / "x"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert f"shape {shape}" in err and time.perf_counter() - start < 10.0
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
         "args",

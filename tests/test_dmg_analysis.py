@@ -177,6 +177,22 @@ class TestDistributionEquality:
                 rejections += int(reject)
         assert rejections <= 1
 
+    def test_the_check_rejects_a_wrong_law_of_f(self):
+        # negative control at dmg's default sizes (2 relays, 100000 samples a set): the statistic built with
+        # |f|^2 ~ Exp of mean 2 is rejected against the sampler, and built the same way with mean 1 it is not.
+        # KS is invariant under the map x -> 1 + rho x, so one rho speaks for all
+        n, relays, rho = 100_000, 2, 10.0
+        sampled = channel_stat_samples(relays, rho, n, True, seed=11).values
+        rng = np.random.default_rng(12)
+
+        def statistic(f_mean):
+            g0_sq, g_sq = rng.exponential(1.0, n), rng.exponential(1.0, (n, relays))
+            return 1.0 + rho * (g0_sq + np.sum(rng.exponential(f_mean, (n, relays)) * g_sq, axis=1))
+
+        assert not ks_two_sample(sampled, statistic(1.0))[1]
+        stat, reject = ks_two_sample(sampled, statistic(2.0))
+        assert reject and stat > 5 * 1.628 * np.sqrt(2 / n)
+
 
 class TestOutage:
     def test_zero_rate_high_snr(self):

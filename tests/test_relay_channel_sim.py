@@ -452,7 +452,7 @@ def joint_rows(kernel, symbols, digits):
     """Rows [x, x_j x_i] of the candidates ``digits`` (n, len(symbols)) of the symbols ``symbols``, the rest 0."""
     sym = np.zeros((len(digits), kernel.t1), dtype=complex)
     sym[:, list(symbols)] = kernel.points[digits]
-    return _monomial_table(sym, kernel.monomials)
+    return _monomial_table(np.hstack([sym.real, sym.imag]), kernel.monomials)
 
 
 def codeword_metrics(kernel, pa, batch):
@@ -719,7 +719,8 @@ class TestKernel:
         kernel = _Kernel(code, con, partial_csi=True)
         assert kernel.symbol_groups == tuple((m,) for m in range(code.K)) and kernel.certified == ()
         assert len(kernel.sym_table) == code.K * con.size
-        joint = _monomial_table(codebook_symbol_vectors(code, con)[0], kernel.monomials)
+        sym = codebook_symbol_vectors(code, con)[0]
+        joint = _monomial_table(np.hstack([sym.real, sym.imag]), kernel.monomials)
         n = 120 if kernel.L > 4096 else 400
         for p in (3.0, 30.0, 1000.0):
             _, pa, batch = kernel_batch(code, p, n, seed=29, kernel=kernel)
@@ -832,6 +833,48 @@ class TestKernel:
         monkeypatch.setattr(relay_channel_sim, "PIECE_BYTES", 1)
         assert np.array_equal(kernel.decode_batch(pa, *batch)[0], dec)
         assert np.array_equal(dec, joint_argmin(kernel, kernel.coefficients(pa, *batch)))
+
+    @pytest.mark.parametrize("case", ["few-tuples", "every-tuple"])
+    def test_list_search_decides_as_the_first_lowest_tuple(self, monkeypatch, case):
+        # cod8 on 16-QAM, one group of G = 4 symbols with M = 16 points: 65536 tuples per trial. Integer points
+        # and psi make every metric exact, so ties are many and the first lowest tuple in codeword order must win.
+        # few-tuples: every point is within the bound on its own, but summed excesses admit under 2 % of the
+        # tuples; every-tuple: all excesses 0, so the search visits every tuple and its stack is at its fullest
+        kernel = _Kernel(square_cod(8), Constellation.qam16(), partial_csi=True)
+        monkeypatch.setattr(kernel, "points", np.round(kernel.points / abs(kernel.points[5].real)))  # +-1, +-3
+        monkeypatch.setattr(
+            kernel, "sym_table", np.vstack([joint_rows(kernel, [s], np.arange(16)[:, None]) for s in range(4)])
+        )
+        u, grp = 8, [0, 1, 2, 3]
+        rng = np.random.default_rng(40)
+        psi = rng.integers(-3, 4, (u, kernel.sym_table.shape[1])).astype(float)
+        j, i = kernel.monomials
+        psi[::2, np.concatenate([[3, 7], 8 + np.flatnonzero((j % 4 == 3) | (i % 4 == 3))])] = 0.0  # symbol 3 ties
+        bound = np.full(u, 10.0)
+        if case == "few-tuples":
+            excess = rng.integers(4, 11, (u, 4, 16)).astype(float)
+            excess[np.arange(u)[:, None], np.arange(4), rng.integers(0, 16, (u, 4))] = 0.0  # each symbol's best
+            excess[:, 3, [2, 9, 13]] = 0.0  # symbol 3's points that tie where psi ignores it
+        else:
+            excess = np.zeros((u, 4, 16))
+        grid = np.indices((16,) * 4).reshape(4, -1).T  # every tuple, in codeword order
+        summed = excess[:, np.arange(4), grid].sum(axis=2)  # (u, 65536), exact: integers
+        metric = np.where(summed <= bound[:, None], psi @ joint_rows(kernel, grp, grid).T, np.inf)
+        want = grid[np.argmin(metric, axis=1)]
+        admitted = np.count_nonzero(summed <= bound[:, None], axis=1)
+        if case == "few-tuples":
+            assert np.all(excess <= bound[:, None, None]) and np.all(admitted < 0.02 * len(grid))
+        ties = np.count_nonzero(metric == metric.min(axis=1, keepdims=True), axis=1)
+        assert np.all(admitted > 1) and np.all(ties[::2] > 1)
+        tracemalloc.start()
+        try:
+            won = kernel._list_decode(grp, psi, excess, bound)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(won, want)
+        # allowance: the arrays of one row per trial and the stack's Python objects
+        assert peak < relay_channel_sim.PIECE_BYTES + 64 * 2**10
 
     @pytest.mark.parametrize(
         "code, width",
