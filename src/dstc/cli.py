@@ -34,9 +34,11 @@ from . import __version__
 from . import code_library as lib
 from .constraint_checker import DIAG_TOL, verify_code
 from .diversity_analyzer import (
+    PAM_ALPHABET,
     PrecodingSpec,
     analyze_codebook,
     apply_precoding,
+    check_pair_scan,
     constellation_by_name,
     enumerate_codebook,
     optimize_rotation,
@@ -160,6 +162,16 @@ def _check_writable(*paths) -> None:
         if not existed:
             os.remove(path)
 
+
+def _emit(text: str, out: str | None, echo: bool) -> None:
+    """Write ``text`` to ``out`` if given; print it too when ``echo`` is set or there is no ``out``."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    if echo or not out:
+        print(text, end="")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -183,10 +195,7 @@ def cmd_verify(args) -> int:
     report = verify_code(code, tol_diag=args.tol_diag, expect_cuw=expect_cuw)
     doc = report.to_dict()
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    print(text, end="")
+    _emit(text, args.out, echo=True)
     if args.manifest:  # the report's hash is that of the --out file
         hashes = {"bundle": _bundle_sha256(code), "report": _sha256(text.encode())}
         _write_manifest(args.manifest, "verify", vars(args), args.started, hashes)
@@ -210,11 +219,13 @@ def cmd_analyze(args) -> int:
             spec = PrecodingSpec.quadrature_pairs(code.K, rotation)
         else:
             spec = PrecodingSpec.cross_block_quadruples(code.K, rotation)
+        check_pair_scan((len(PAM_ALPHABET) ** spec.lam) ** len(spec.groups))  # n_g values per group
         codebook = apply_precoding(code, spec).codewords
         rotation_hash = _sha256(np.ascontiguousarray(rotation).tobytes())
         rotation_out = rotation.tolist()
     else:
         con = constellation_by_name(args.constellation)
+        check_pair_scan(con.size**code.K)
         codebook = enumerate_codebook(code, con)
         rotation_out = None
     res = analyze_codebook(codebook, tol=args.tol_rank)
@@ -227,11 +238,7 @@ def cmd_analyze(args) -> int:
         "worst_pair": list(res.worst_pair),
         "rotation": rotation_out,
     }
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out, echo=True)
     hashes = {"bundle": _bundle_sha256(code), "rotation": rotation_hash}
     _write_manifest(manifest, "analyze", vars(args), args.started, hashes)
     return 0
@@ -268,11 +275,7 @@ def cmd_simulate(args) -> int:
             f"{_csv_float(p.ber)},{_csv_float(p.ci_low)},{_csv_float(p.ci_high)}"
         )
     text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+    _emit(text, args.out, echo=False)
     hashes = {"bundle": _bundle_sha256(code), "csv": _sha256(text.encode())}
     extra = {"decoder": decoder, "snr_points": snr_points, **_process_record()}
     _write_manifest(manifest, "simulate", vars(args), args.started, hashes, extra)
@@ -340,11 +343,7 @@ def cmd_dmg(args) -> int:
             f"{_csv_float(outage_a)},{_csv_float(outage_b)}"
         )
     text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+    _emit(text, args.out, echo=False)
     extra = {"workers": workers, **_process_record()}
     _write_manifest(manifest, "dmg", vars(args), args.started, {"csv": _sha256(text.encode())}, extra)
     return 0

@@ -17,7 +17,6 @@ random search.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,20 +156,26 @@ def _digit_grid(base: int, length: int) -> np.ndarray:
     return np.stack(grids, axis=-1).reshape(-1, length)
 
 
+def _codebook(code: LinearDispersionCode, groups, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Codewords (L, T, N) and reals (L, 2K) where each group of real symbols takes every row of ``table``.
+
+    Codeword index is the mixed-radix number of the per-group row indices, first group most significant.
+    """
+    total = len(table) ** len(groups)
+    if total > ENUM_BUDGET:
+        raise EnumerationBudgetError(f"{len(table)}^{len(groups)} = {total} codewords exceeds the budget {ENUM_BUDGET}")
+    digits = _digit_grid(len(table), len(groups))
+    reals = np.empty((total, 2 * code.K))
+    for gi, group in enumerate(groups):
+        reals[:, list(group)] = table[digits[:, gi]]
+    return np.einsum("lk,ktn->ltn", reals, code.real_weights()), reals
+
+
 def enumerate_codebook(code: LinearDispersionCode, constellation: Constellation) -> np.ndarray:
     """All |constellation|^K codewords as an (L, T, N) array, deterministic order."""
-    size = constellation.size**code.K
-    if size > ENUM_BUDGET:
-        raise EnumerationBudgetError(
-            f"{constellation.size}^{code.K} = {size} codewords exceeds the budget {ENUM_BUDGET}"
-        )
-    digits = _digit_grid(constellation.size, code.K)
     pts = np.asarray(constellation.points)
-    symbols = pts[digits]  # (L, K)
-    reals = np.empty((size, 2 * code.K))
-    reals[:, 0::2] = symbols.real
-    reals[:, 1::2] = symbols.imag
-    return np.einsum("lk,ktn->ltn", reals, code.real_weights())
+    pairs = tuple((2 * k, 2 * k + 1) for k in range(code.K))
+    return _codebook(code, pairs, np.stack([pts.real, pts.imag], axis=1))[0]
 
 
 @dataclass(frozen=True)
@@ -187,23 +192,13 @@ def apply_precoding(code: LinearDispersionCode, spec: PrecodingSpec) -> Precoded
     """Enumerate the codebook where each group's reals are R times a PAM tuple.
 
     Group g of real-symbol indices takes the values rotation @ u over all
-    tuples u from ``PAM_ALPHABET``; groups vary independently.
-    Codeword index is the mixed-radix number of the per-group value indices,
-    first group most significant.
+    tuples u from ``PAM_ALPHABET``, numbered as ``_codebook`` numbers them.
     """
     if len(spec.groups) * spec.lam != 2 * code.K:
         raise ParameterError("groups must cover exactly the 2K real symbols of the code")
-    values = np.asarray(list(itertools.product(PAM_ALPHABET, repeat=spec.lam)))
+    values = np.asarray(PAM_ALPHABET)[_digit_grid(len(PAM_ALPHABET), spec.lam)]
     rotated = values @ np.asarray(spec.rotation, float).T  # (n_g, lam)
-    n_g = rotated.shape[0]
-    total = n_g ** len(spec.groups)
-    if total > ENUM_BUDGET:
-        raise EnumerationBudgetError(f"{n_g}^{len(spec.groups)} = {total} codewords exceeds the budget {ENUM_BUDGET}")
-    digits = _digit_grid(n_g, len(spec.groups))
-    reals = np.empty((total, 2 * code.K))
-    for gi, group in enumerate(spec.groups):
-        reals[:, list(group)] = rotated[digits[:, gi]]
-    codewords = np.einsum("lk,ktn->ltn", reals, code.real_weights())
+    codewords, reals = _codebook(code, spec.groups, rotated)
     return PrecodedCodebook(codewords, reals, tuple(rotated for _ in spec.groups), spec)
 
 
@@ -245,6 +240,15 @@ def _min_rank(mats: np.ndarray, dets: np.ndarray, tol: float) -> int:
     return int(_ranks(mats, tol).min()) if len(mats) else min(mats.shape[1:])
 
 
+def check_pair_scan(n_codewords: int) -> None:
+    """Refuse a pair scan of more than ``PAIR_SCAN_BUDGET`` codewords, with a one-line message."""
+    if n_codewords > PAIR_SCAN_BUDGET:
+        raise EnumerationBudgetError(
+            f"the full pair scan takes at most {PAIR_SCAN_BUDGET} codewords (got {n_codewords}); "
+            "in dstc analyze, choose a smaller --constellation or fewer --blocks"
+        )
+
+
 @dataclass(frozen=True)
 class CodebookAnalysis:
     n_codewords: int
@@ -269,11 +273,7 @@ def analyze_codebook(codebook, tol: float = RANK_TOL) -> CodebookAnalysis:
     L, T, N = cb.shape
     if L < 2:
         raise ParameterError("need at least two codewords")
-    if L > PAIR_SCAN_BUDGET:
-        raise EnumerationBudgetError(
-            f"the full pair scan takes at most {PAIR_SCAN_BUDGET} codewords (got {L}); "
-            "in dstc analyze, choose a smaller --constellation or fewer --blocks"
-        )
+    check_pair_scan(L)
     full = min(T, N)
     min_rank = full
     min_det = np.inf
@@ -357,14 +357,15 @@ def nonzero_differences(per_dim_alphabet, lam: int) -> np.ndarray:
     """All distinct nonzero difference vectors of the per-dimension alphabet."""
     a = np.asarray(per_dim_alphabet, dtype=float)
     d1 = np.unique(np.round(a[:, None] - a[None, :], 12))
-    diffs = np.asarray(list(itertools.product(d1, repeat=lam)))
+    diffs = d1[_digit_grid(len(d1), lam)]
     return diffs[np.any(diffs != 0.0, axis=1)]
 
 
-def min_product_distance(rotation, diffs) -> float:
-    """min over difference vectors d of prod_j |(R d)_j|."""
-    rotated = np.asarray(diffs) @ np.asarray(rotation, float).T
-    return float(np.min(np.prod(np.abs(rotated), axis=1)))
+def min_product_distance(rotation, diffs):
+    """min over difference vectors d of prod_j |(R d)_j|: a float for one rotation, an array for a stack."""
+    rotated = np.asarray(diffs) @ np.swapaxes(np.asarray(rotation, float), -1, -2)
+    dist = np.min(np.prod(np.abs(rotated), axis=-1), axis=-1)
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def optimize_rotation(lam: int, trials: int = 200, seed: int = 0) -> np.ndarray:
@@ -380,5 +381,4 @@ def optimize_rotation(lam: int, trials: int = 200, seed: int = 0) -> np.ndarray:
     q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((max(trials, 0), lam, lam)))
     signs = np.sign(np.diagonal(r, axis1=1, axis2=2))
     candidates = np.concatenate([np.stack(_algebraic_candidates(lam)), q * signs[:, None, :]])
-    rotated = diffs @ candidates.transpose(0, 2, 1)  # (candidates, differences, lam)
-    return candidates[np.argmax(np.min(np.prod(np.abs(rotated), axis=2), axis=1))]
+    return candidates[np.argmax(min_product_distance(candidates, diffs))]

@@ -349,10 +349,8 @@ class GroupDecision:
     group_indices: tuple[int, ...]
 
     def joint_index(self, sizes) -> int:
-        idx = 0
-        for gi, n in zip(self.group_indices, sizes):
-            idx = idx * int(n) + int(gi)
-        return idx
+        """The codeword index of the per-group decisions, first group most significant (``_digit_grid``'s order)."""
+        return int(np.ravel_multi_index(self.group_indices, tuple(sizes)))
 
 
 def group_ml_decode(

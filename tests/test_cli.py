@@ -8,7 +8,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from dstc import cli, relay_channel_sim
+from dstc import cli, diversity_analyzer, relay_channel_sim
 from dstc.cli import main
 from dstc.code_library import alamouti, block_diagonal_extend, cuw_ssd, load_bundle, to_bundle
 from dstc.diversity_analyzer import Constellation, optimize_rotation
@@ -116,6 +116,26 @@ class TestAnalyze:
         assert run(args) == 0
         doc = json.loads(capsys.readouterr().out)
         assert np.array_equal(doc["rotation"], optimize_rotation(2, trials=0, seed=0))
+
+    @pytest.mark.parametrize(
+        "args, count",
+        [
+            (["--family", "cod8", "--constellation", "qam16"], 65536),
+            (["--family", "alamouti", "--blocks", 10, "--constellation", "bpsk"], 2**20),
+            (["--family", "cuw4", "--blocks", 2, "--rotate"], 65536),
+        ],
+        ids=["cod8-qam16", "alamouti-x10-bpsk", "cuw4-x2-rotate"],
+    )
+    def test_oversized_codebook_is_refused_before_it_is_built(self, tmp_path, capsys, monkeypatch, args, count):
+        def refuse(*a, **k):
+            raise AssertionError("the codebook was built")
+
+        monkeypatch.setattr(diversity_analyzer, "_codebook", refuse)
+        assert run(["analyze", *args, "--out", tmp_path / "a.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: the full pair scan takes at most 4096 codewords (got {count});")
+        assert list(tmp_path.iterdir()) == []
 
     def test_imported_non_compliant_bundle_warns_but_runs(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

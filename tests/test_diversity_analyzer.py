@@ -19,10 +19,12 @@ from dstc.code_library import (
 )
 from dstc.constraint_checker import random_compliant_code
 from dstc.diversity_analyzer import (
+    PAIR_SCAN_BUDGET,
     Constellation,
     PrecodingSpec,
     _algebraic_candidates,
     _det_criteria,
+    _digit_grid,
     _min_rank,
     _ranks,
     analyze_codebook,
@@ -97,8 +99,10 @@ class TestEnumerateCodebook:
 
     def test_budget_guard(self):
         wide = block_diagonal_extend(alamouti(), 8)  # 16 symbols
-        with pytest.raises(EnumerationBudgetError):
+        with pytest.raises(EnumerationBudgetError, match=r"^4\^16 = 4294967296 codewords exceeds the budget 1048576$"):
             enumerate_codebook(wide, Constellation.qpsk())
+        with pytest.raises(EnumerationBudgetError, match=r"^4\^16 = 4294967296 codewords exceeds the budget 1048576$"):
+            apply_precoding(wide, PrecodingSpec.quadrature_pairs(wide.K, np.eye(2)))
 
     def test_matches_direct_evaluation(self):
         code = alamouti()
@@ -109,6 +113,37 @@ class TestEnumerateCodebook:
             for tup in itertools.product(con.points, repeat=code.K)
         ]
         assert np.allclose(cb, np.stack(direct))
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), name=st.sampled_from(["bpsk", "qpsk", "qam16"]))
+    def test_rows_are_the_codewords_of_their_digit_tuples(self, seed, k, name):
+        code = random_compliant_code(np.random.default_rng(seed), k=k)
+        con = constellation_by_name(name)
+        cb = enumerate_codebook(code, con)
+        digits = _digit_grid(con.size, k)
+        assert cb.shape == (con.size**k, code.T, code.N)
+        for row, tup in zip(cb, digits):
+            assert np.array_equal(row, code.codeword(np.asarray(con.points)[tup]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), lam=st.sampled_from([2, 4]))
+    def test_precoded_rows_are_the_codewords_of_their_reals(self, seed, k, lam):
+        rng = np.random.default_rng(seed)
+        code = random_compliant_code(rng, k=k)
+        lam = 2 if k % 2 else lam  # cross-block quadruples need an even symbol count
+        rotation = np.linalg.qr(rng.standard_normal((lam, lam)))[0]
+        make = PrecodingSpec.quadrature_pairs if lam == 2 else PrecodingSpec.cross_block_quadruples
+        pre = apply_precoding(code, make(k, rotation))
+        assert pre.codewords.shape == (2 ** (2 * k), code.T, code.N)
+        for cw, reals in zip(pre.codewords, pre.reals):
+            assert np.allclose(cw, code.codeword_real(reals), rtol=0, atol=1e-12)
+
+
+    def test_pair_scan_limit(self):
+        diversity_analyzer.check_pair_scan(PAIR_SCAN_BUDGET)
+        with pytest.raises(EnumerationBudgetError, match=f"at most {PAIR_SCAN_BUDGET} codewords"):
+            analyze_codebook(np.zeros((PAIR_SCAN_BUDGET + 1, 1, 1)))
 
 
 class TestMinRank:
@@ -191,6 +226,14 @@ class TestRotationSearch:
     def test_identity_has_zero_product_distance(self):
         diffs = nonzero_differences((-1.0, 1.0), 2)
         assert min_product_distance(np.eye(2), diffs) == 0.0
+
+    @pytest.mark.parametrize("lam", [2, 4])
+    def test_a_stack_of_rotations_scores_each_rotation(self, lam):
+        diffs = nonzero_differences((-1.0, 1.0), lam)
+        stack = np.stack(_algebraic_candidates(lam) + [np.eye(lam)])
+        scores = min_product_distance(stack, diffs)
+        assert scores.shape == (len(stack),)
+        assert scores.tolist() == [min_product_distance(r, diffs) for r in stack]
 
     def test_two_dim_search_positive(self):
         rot = optimize_rotation(2, trials=50, seed=0)

@@ -35,6 +35,7 @@ from dstc.relay_channel_sim import (
     KERNEL_CACHE_BYTES,
     BerPoint,
     ChannelRealization,
+    GroupDecision,
     PowerAllocation,
     ReceivedSignal,
     SimConfig,
@@ -315,6 +316,12 @@ class TestMlDecode:
 
 
 class TestGroupDecode:
+    def test_joint_index_inverts_the_digit_grid(self):
+        for size, groups in ((2, 1), (4, 3), (16, 2)):
+            for index, digits in enumerate(_digit_grid(size, groups)):
+                decision = GroupDecision(np.zeros(0), tuple(int(d) for d in digits))
+                assert decision.joint_index([size] * groups) == index
+
     def test_clifford_matches_joint(self):
         code = clifford_4x4()
         con = Constellation.qpsk()
