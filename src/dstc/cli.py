@@ -43,7 +43,7 @@ from .diversity_analyzer import (
     enumerate_codebook,
     optimize_rotation,
 )
-from .dmg_analysis import OUTAGE_SEED_STRIDE, channel_stat_samples, ks_two_sample, outage_fraction
+from .dmg_analysis import OUTAGE_SEED_STRIDE, channel_stat_samples, ks_two_sample, outage_fraction, sample_set_size
 from .errors import ParameterError
 from .matrix_core import RANK_TOL
 from .relay_channel_sim import SimConfig, monte_carlo_ber
@@ -133,6 +133,14 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where ``os.sysconf`` cannot tell (Windows has no sysconf)."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def _process_record() -> dict:
     """The process's peak resident set so far in MiB (None without ``resource``) and its versions."""
     import platform  # only simulate and dmg manifests need these two, so `import dstc.cli` stays lean
@@ -154,9 +162,11 @@ def _manifest_path(args, default_stem: str) -> str:
     return f"{args.out}.manifest.json" if args.out else f"{default_stem}.manifest.json"
 
 
-def _check_writable(*paths) -> None:
-    """Raise the OSError that writing each given path would raise, leaving no file that was not there."""
-    for path in filter(None, paths):
+def _check_writable(out: str | None, manifest: str | None) -> None:
+    """Refuse an output and manifest naming one file; raise the OSError writing either would, leaving no new file."""
+    if out and manifest and os.path.realpath(out) == os.path.realpath(manifest):
+        raise ParameterError(f"the output {out} and the manifest {manifest} name the same file")
+    for path in filter(None, (out, manifest)):
         existed = os.path.exists(path)
         open(path, "a").close()  # appends nothing: an existing file keeps its bytes
         if not existed:
@@ -329,6 +339,15 @@ def cmd_dmg(args) -> int:
         return ks, [(i, outage_fraction(samples[outage_sets[i]], args.rate)) for i in outages]
 
     workers = min(args.threads, len(jobs))
+    # np.empty succeeds past memory under overcommit, and the draws then get the process killed: refuse such
+    # sets here, counting two per worker
+    (shape, need), memory, sets = sample_set_size(args.relays, args.samples), _physical_memory(), 2 * workers
+    if memory is not None and sets * need > memory / 2:
+        raise ParameterError(
+            f"Unable to allocate {sets * need / 2**30:.3g} GiB for {sets} sample sets, each an array of shape "
+            f"({args.samples},) and buffers of shape {shape}: over half of the {memory / 2**30:.3g} GiB of "
+            "physical memory; lower --relays or --samples"
+        )
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, jobs, jobs.values()))

@@ -69,10 +69,7 @@ class LinearDispersionCode:
 
     def real_weights(self) -> np.ndarray:
         """All 2K weights stacked as a (2K, T, N) array, interleaved I/Q."""
-        out = np.empty((2 * self.K, self.T, self.N), dtype=complex)
-        out[0::2] = np.stack(self.weights_i)
-        out[1::2] = np.stack(self.weights_q)
-        return out
+        return np.stack((self.weights_i, self.weights_q), axis=1, dtype=complex).reshape(2 * self.K, self.T, self.N)
 
     @cached_property
     def _scaled_relay_pairs(self) -> tuple:
@@ -93,10 +90,7 @@ class LinearDispersionCode:
         x = np.asarray(symbols, dtype=complex)
         if x.shape != (self.K,):
             raise DimensionError(f"expected {self.K} complex symbols, got shape {x.shape}")
-        reals = np.empty(2 * self.K)
-        reals[0::2] = x.real
-        reals[1::2] = x.imag
-        return self.codeword_real(reals)
+        return self.codeword_real(np.ascontiguousarray(x).view(np.float64))  # Re x_1, Im x_1, Re x_2, ...
 
     def codeword_real(self, reals) -> np.ndarray:
         """Evaluate the design at a vector of 2K real symbols."""
@@ -172,14 +166,14 @@ def square_cod(n: int) -> LinearDispersionCode:
     return code
 
 
-def is_cod(code: LinearDispersionCode, tol: float = 1e-8, checks: int = 20) -> bool:
-    """True if X(x)^H X(x) = (sum |x_k|^2) I on random symbol draws."""
+def is_cod(code: LinearDispersionCode, checks: int = 20) -> bool:
+    """True if X(x)^H X(x) = (sum |x_k|^2) I within 1e-8 on random symbol draws."""
     parts = np.random.default_rng(1234).standard_normal((checks, 2, code.K))  # per check: real, then imaginary
     reals = parts.transpose(0, 2, 1).reshape(checks, 2 * code.K)  # interleaved as codeword_real takes them
     s = np.einsum("ck,ktn->ctn", reals, code.real_weights())
     gram = s.conj().swapaxes(1, 2) @ s
     power = np.sum(parts**2, axis=(1, 2))
-    return bool(np.max(np.abs(gram - power[:, None, None] * np.eye(code.N))) <= tol)
+    return bool(np.max(np.abs(gram - power[:, None, None] * np.eye(code.N))) <= 1e-8)
 
 
 def gciod(theta1: LinearDispersionCode, theta2: LinearDispersionCode) -> LinearDispersionCode:
@@ -311,7 +305,7 @@ def normalize_unitary_weights(code: LinearDispersionCode) -> LinearDispersionCod
     left factor: S_norm(x) = W1I^H S(x) for every symbol vector x.
     """
     for w in (*code.weights_i, *code.weights_q):
-        if not is_unitary(w, tol=1e-9):
+        if not is_unitary(w):
             raise ContractError("normalization requires unitary weight matrices")
     u = code.weights_i[0].conj().T
     wi = tuple(u @ w for w in code.weights_i)
@@ -341,22 +335,18 @@ def block_diagonal_extend(base: LinearDispersionCode, k: int) -> LinearDispersio
     return LinearDispersionCode(tuple(wi), tuple(wq), name=f"{base.name}x{k}")
 
 
-def repetition_control(n_relays: int = 2) -> LinearDispersionCode:
-    """Deliberately rank-deficient control: every relay forwards only symbol 1.
+def repetition_control() -> LinearDispersionCode:
+    """Deliberately rank-deficient control: both of its two relays forward only symbol 1.
 
-    Codewords are [[x1, ..., x1], [0, ..., 0]] over two channel uses, so
-    message pairs differing only in symbol 2 have identical relay columns.
-    The relay noise stays uncorrelated (the structural conditions hold);
-    only the full-rank criterion is violated, which makes this the clean
-    control for diversity-order experiments.
+    Codewords are [[x1, x1], [0, 0]] over two channel uses, so message pairs
+    differing only in symbol 2 have identical relay columns. The relay noise
+    stays uncorrelated (the structural conditions hold); only the full-rank
+    criterion is violated, which makes this the clean control for
+    diversity-order experiments.
     """
-    if n_relays < 1:
-        raise ParameterError("need at least one relay")
-    wi1 = np.zeros((2, n_relays), dtype=complex)
-    wi1[0, :] = 1.0
-    wq1 = 1j * wi1
-    zero = np.zeros((2, n_relays), dtype=complex)
-    return LinearDispersionCode((wi1, zero), (wq1, zero), name=f"control{n_relays}")
+    wi1 = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
+    zero = np.zeros((2, 2), dtype=complex)
+    return LinearDispersionCode((wi1, zero), (1j * wi1, zero), name="control2")
 
 
 # ---------------------------------------------------------------------------
@@ -370,18 +360,9 @@ def relay_pairs(code: LinearDispersionCode) -> list[RelayMatrixPair]:
     Coefficients follow from x_mI = (x_m + x_m*)/2 and x_mQ = (x_m - x_m*)/(2j):
     A_i collects (W_I - j W_Q)/2 column-wise and B_i collects (W_I + j W_Q)/2.
     """
-    pairs = []
-    for i in range(code.N):
-        a = np.stack(
-            [(code.weights_i[m][:, i] - 1j * code.weights_q[m][:, i]) / 2 for m in range(code.K)],
-            axis=1,
-        )
-        b = np.stack(
-            [(code.weights_i[m][:, i] + 1j * code.weights_q[m][:, i]) / 2 for m in range(code.K)],
-            axis=1,
-        )
-        pairs.append(RelayMatrixPair(a, b))
-    return pairs
+    wi, wq = np.stack(code.weights_i, axis=2), np.stack(code.weights_q, axis=2)  # (T, N, K)
+    a, b = (wi - 1j * wq) / 2, (wi + 1j * wq) / 2
+    return [RelayMatrixPair(np.ascontiguousarray(a[:, i]), np.ascontiguousarray(b[:, i])) for i in range(code.N)]
 
 
 def scaled_relay_pairs(code: LinearDispersionCode) -> list[RelayMatrixPair]:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .code_library import LinearDispersionCode, RelayMatrixPair, scaled_relay_pairs
 from .errors import ContractError
-from .matrix_core import check_tol, frobenius_norm_sq
+from .matrix_core import check_tol
 
 DIAG_TOL = 1e-10
 CUW_TOL = 1e-10
@@ -63,9 +63,9 @@ def gram_diagonal(pair: RelayMatrixPair) -> np.ndarray:
     return np.einsum("ij,ij->i", z, z)
 
 
-def check_power(pair: RelayMatrixPair, slack: float = POWER_SLACK) -> bool:
-    """True iff the pair respects the unit relay power budget."""
-    return frobenius_norm_sq(pair.a) + frobenius_norm_sq(pair.b) <= 1.0 + slack
+def check_power(pair: RelayMatrixPair) -> bool:
+    """True iff the pair respects the unit relay power budget, up to ``POWER_SLACK``."""
+    return pair.power() <= 1.0 + POWER_SLACK
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ class StructureReport:
         return self.single_term_entries and self.single_use_per_column
 
 
-def check_structure(code: LinearDispersionCode, atol: float = _NZ) -> StructureReport:
+def check_structure(code: LinearDispersionCode) -> StructureReport:
     """Check the structural conditions directly on the weight matrices.
 
     Condition 1 fails when a single weight entry is nonzero in both real and
@@ -90,8 +90,8 @@ def check_structure(code: LinearDispersionCode, atol: float = _NZ) -> StructureR
     nonzero entry in a column (the same real symbol would appear twice).
     """
     weights = code.real_weights()
-    re_nz = np.abs(weights.real) > atol
-    im_nz = np.abs(weights.imag) > atol
+    re_nz = np.abs(weights.real) > _NZ
+    im_nz = np.abs(weights.imag) > _NZ
 
     cond1 = True
     violation = None
@@ -266,14 +266,14 @@ def random_compliant_code(
     t: int | None = None,
     n: int | None = None,
     k: int | None = None,
-    extra_prob: float = 0.4,
 ) -> LinearDispersionCode:
     """Random design obeying both structural conditions, with random scalars.
 
     Every entry slot (row, column, real/imag) is used by at most one weight
     and every weight places at most one nonzero per column; scalars are drawn
     uniformly from [0.25, 1.5] with random signs. Each column receives at
-    least one nonzero so relay pairs stay power-normalizable.
+    least one nonzero so relay pairs stay power-normalizable; after that
+    first one, each further weight places a nonzero with probability 0.4.
     """
     t = int(t if t is not None else rng.integers(2, 7))
     n = int(n if n is not None else rng.integers(1, 6))
@@ -285,7 +285,7 @@ def random_compliant_code(
         order = rng.permutation(2 * k)
         forced = True
         for w in order:
-            if not forced and rng.random() > extra_prob:
+            if not forced and rng.random() > 0.4:
                 continue
             slot = int(rng.integers(0, 2))
             free = np.flatnonzero(~used[slot, :, c])

@@ -25,6 +25,7 @@ from .errors import ParameterError
 _KS_COEFF = {0.10: 1.224, 0.05: 1.358, 0.01: 1.628}
 OUTAGE_SEED_STRIDE = 7919  # empirical_outage draws rho number k from seed + k * stride
 _PIECE_ROWS = 8192  # rows of the second normal of each pair drawn at a time
+_CHUNK_ROWS = 1 << 16  # samples each counter-based stream draws
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ def channel_stat_samples(
     n: int,
     partial_csi: bool,
     seed: int,
-    chunk: int = 1 << 16,
+    chunk: int = _CHUNK_ROWS,
 ) -> ChannelStatSample:
     """n i.i.d. draws of 1 + rho (|g0|^2 + sum |f_i|^2 |g_i|^2).
 
@@ -112,6 +113,12 @@ def channel_stat_samples(
         g0 *= rho
         g0 += 1.0
     return ChannelStatSample(rho, out)
+
+
+def sample_set_size(n_relays: int, n: int) -> tuple[tuple[int, int], int]:
+    """The shape of a ``channel_stat_samples`` call's (rows, R) buffers and the bytes of those and its n samples."""
+    rows = min(_CHUNK_ROWS, n)
+    return (rows, n_relays), 8 * (n + n_relays * (2 * rows + min(rows, _PIECE_ROWS)))
 
 
 def ks_two_sample(a, b, alpha: float = 0.01) -> tuple[float, bool]:

@@ -49,12 +49,13 @@ def frobenius_norm_sq(m) -> float:
     return float(np.sum(np.abs(a) ** 2))
 
 
-def is_unitary(m, tol: float = 1e-9) -> bool:
+def is_unitary(m) -> bool:
+    """True iff ``m`` is square and ||M^H M - I||_F <= 1e-9."""
     a = _as_matrix(m)
     if a.shape[0] != a.shape[1]:
         return False
     g = a.conj().T @ a
-    return bool(np.linalg.norm(g - np.eye(a.shape[0])) <= tol)
+    return bool(np.linalg.norm(g - np.eye(a.shape[0])) <= 1e-9)
 
 
 def real_stack(v) -> np.ndarray:

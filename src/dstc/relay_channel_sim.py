@@ -58,12 +58,10 @@ from pathlib import Path
 import numpy as np
 
 from .code_library import LinearDispersionCode, scaled_relay_pairs
-from .constraint_checker import check_power, dispersion_matrix
+from .constraint_checker import dispersion_matrix
 from .diversity_analyzer import Constellation, _digit_grid
 from .errors import ContractError, DimensionError, InsufficientDataError, ParameterError
 from .matrix_core import real_stack
-
-_WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
 @dataclass(frozen=True)
@@ -149,15 +147,15 @@ class ChannelRealization:
         return np.concatenate([[self.g0], np.asarray(self.g) * np.asarray(self.f)])
 
 
+def _complex_normal(rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` CN(0,1) draws: all their real parts, then all their imaginary parts."""
+    return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2)
+
+
 def sample_channel(n_relays: int, partial_csi: bool, rng: np.random.Generator) -> ChannelRealization:
     """Draw g0, g ~ CN(0,1); f ~ CN(0,1), or its magnitude with phase-only CSI."""
-    cn = lambda *shape: (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-    g0 = complex(cn(1)[0])
-    g = cn(n_relays)
-    f = cn(n_relays)
-    if partial_csi:
-        f = np.abs(f)
-    return ChannelRealization(g0, g, f, partial_csi)
+    g0, g, f = _complex_normal(rng, 1), _complex_normal(rng, n_relays), _complex_normal(rng, n_relays)
+    return ChannelRealization(complex(g0[0]), g, np.abs(f) if partial_csi else f, partial_csi)
 
 
 @dataclass(frozen=True)
@@ -232,16 +230,11 @@ def simulate_transmission(
     if s.shape != (code.K,):
         raise DimensionError(f"source vector must have length {code.K}")
     pairs = scaled_relay_pairs(code)
-    for pair in pairs:
-        if not check_power(pair):
-            raise ContractError("relay matrix pair exceeds its power budget")
     if add_noise and rng is None:
         raise ParameterError("need a generator when noise is enabled")
 
-    def cn(*shape):
-        if not add_noise:
-            return np.zeros(shape, dtype=complex)
-        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+    def cn(size):
+        return _complex_normal(rng, size) if add_noise else np.zeros(size, dtype=complex)
 
     w1 = cn(pa.t1)
     y1 = pa.broadcast_amp * ch.g0 * s + w1
@@ -335,9 +328,7 @@ def ml_decode(
         raise ParameterError("codebook of symbol vectors must be a nonempty (L, K) array")
     mat = real_response_matrix(code, ch, pa)
     white = np.linalg.solve(np.linalg.cholesky(sig.cov_real), np.column_stack([mat, real_stack(sig.y)]))
-    reals = np.empty((symvecs.shape[0], 2 * code.K))
-    reals[:, 0::2] = symvecs.real
-    reals[:, 1::2] = symvecs.imag
+    reals = np.ascontiguousarray(symvecs).view(np.float64)  # (L, 2K): Re s_1, Im s_1, Re s_2, ...
     d = white[:, -1] - reals @ white[:, :-1].T
     metric = np.einsum("lj,lj->l", d, d)
     return int(np.argmin(metric))
@@ -360,14 +351,13 @@ def group_ml_decode(
     group_values,
     ch: ChannelRealization,
     pa: PowerAllocation,
-    coupling_tol: float = 1e-8,
 ) -> GroupDecision:
     """Per-group exhaustive ML over a partition of the real symbols.
 
     Valid only when the covariance-weighted metric decouples across groups; the
     cross-group coupling of the quadratic form is checked and a
-    ContractError reports its magnitude when it exceeds ``coupling_tol``
-    (relative to the largest diagonal term).
+    ContractError reports its magnitude when it exceeds 1e-8 of the largest
+    diagonal term.
     """
     flat = sorted(i for g in groups for i in g)
     if flat != list(range(2 * code.K)):
@@ -381,7 +371,7 @@ def group_ml_decode(
         mask[np.ix_(list(g), list(g))] = True
     coupling = float(np.max(np.abs(gram[~mask]))) if (~mask).any() else 0.0
     scale = max(float(np.max(np.abs(np.diag(gram)))), 1e-300)
-    if coupling > coupling_tol * scale:
+    if coupling > 1e-8 * scale:
         raise ContractError(
             f"partition is not group-decodable here: cross-group coupling {coupling:.3e} "
             f"(relative {coupling / scale:.3e})"
@@ -431,11 +421,19 @@ class SimConfig:
             raise ParameterError(f"seed must lie in [0, 2**64), got {self.seed}")
         if len(self.snr_db) > 1 << 32 or max(self.trials, default=0) > self.chunk << 32:
             raise ParameterError("more than 2**32 SNR points or chunks per point")
-        self.power_allocations()  # bad factors or SNRs fail here, before any kernel is built
+        # a codebook too large, bad factors or SNRs fail here, before any kernel is built or keyed
+        _check_codewords(self.constellation.size**self.code.K)
+        self.power_allocations()
 
     def power_allocations(self) -> list[PowerAllocation]:
         """The power split at each SNR point."""
         return [PowerAllocation.equal_split(self.code, _snr_power(snr), self.pi) for snr in self.snr_db]
+
+
+def _check_codewords(codewords: int) -> None:
+    """Refuse a codebook whose codeword indices do not fit a signed 64-bit integer."""
+    if codewords >= 1 << 63:
+        raise ParameterError(f"{codewords} codewords do not fit a 64-bit codeword index")
 
 
 def _snr_power(snr_db: float) -> float:
@@ -458,8 +456,9 @@ class BerPoint:
     ci_high: float
 
 
-def wilson_interval(k: int, n: int, z: float = _WILSON_Z) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(k: int, n: int) -> tuple[float, float]:
+    """Two-sided 95% Wilson score interval for a binomial proportion."""
+    z = 1.959963984540054
     if n <= 0:
         return (0.0, 1.0)
     p = k / n
@@ -611,8 +610,7 @@ class _Kernel:
         self.partial_csi = partial_csi
         self.r, self.t2, self.t1 = r, t2, k = code.N, code.T, code.K
         self.m, self.L = m, codewords = con.size, con.size**k
-        if codewords >= 1 << 63:
-            raise ParameterError(f"{codewords} codewords do not fit a 64-bit codeword index")
+        _check_codewords(codewords)
         resp = _relay_columns(scaled_relay_pairs(code), np.concatenate([np.eye(k), 1j * np.eye(k)]))  # (2K, T2, R)
         # the one relay map: relay r's cooperation response per unit of each real symbol x_j, (R, 2K T2)
         self.resp = np.ascontiguousarray(resp.reshape(2 * k * t2, r).T)
@@ -625,10 +623,11 @@ class _Kernel:
         diag = np.diagonal(zz, axis1=1, axis2=2)  # (R, 2T2)
         off = np.max(np.abs(zz - diag[:, :, None] * np.eye(2 * t2)))
         d_re = diag[:, :t2]
+        # per trial, the complex normals of g0, g, f, w1, v and w2 in that order, one block
+        self.widths = (1, r, r, k, r * k, t2)
         # per trial: the normal draws, the synthesis arrays (the relays' received signals and their
         # products with g) and the counting gathers
-        draws = 1 + 2 * r + k + r * k + t2
-        row_bytes = 16 * (draws + 3 * k + 5 * r * k + 4 * t2) + 40 * k
+        row_bytes = 16 * (sum(self.widths) + 3 * k + 5 * r * k + 4 * t2) + 40 * k
         if off > _NOISE_TOL or np.max(np.abs(d_re - diag[:, t2:])) > _NOISE_TOL:
             self.noise_path, self.slot_groups = "general", ()
             self.monomials = np.triu_indices(2 * k)
@@ -703,25 +702,12 @@ class _Kernel:
     def simulate_batch(self, pa: PowerAllocation, rng: np.random.Generator, idx: np.ndarray):
         """Draw the channels and noise of the trials sending codewords ``idx``, one normal block."""
         n = len(idx)
-        width = 1 + 2 * self.r + self.t1 + self.r * self.t1 + self.t2
-        block = rng.standard_normal((n, 2 * width)).view(np.complex128)
+        block = rng.standard_normal((n, 2 * sum(self.widths))).view(np.complex128)
         block *= 1.0 / np.sqrt(2)
-        pos = 0
-
-        def take(cols):
-            nonlocal pos
-            out = block[:, pos : pos + cols]
-            pos += cols
-            return out
-
-        g0 = take(1)[:, 0]
-        g = take(self.r)
-        f = take(self.r)
+        g0, g, f, w1, v, w2 = np.split(block, np.cumsum(self.widths[:-1]), axis=1)
+        g0, v = g0[:, 0], v.reshape(n, self.r, self.t1)
         if self.partial_csi:
             f = np.abs(f)
-        w1 = take(self.t1)
-        v = take(self.r * self.t1).reshape(n, self.r, self.t1)
-        w2 = take(self.t2)
 
         c1 = pa.broadcast_amp
         s = self.points[self.symbol_digits(idx)]

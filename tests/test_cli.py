@@ -664,3 +664,66 @@ class TestFlagsAndBadInput:
         # a run refused for another reason leaves no file behind
         assert run(["simulate", "--family", "alamouti", "--relays", 4, "--out", "x.csv"]) == 2
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["construct", "--family", "alamouti", "--manifest", "alamouti.json"],  # the default <name>.json
+            ["construct", "--family", "alamouti", "--out", "b.json", "--manifest", "./b.json"],
+            ["verify", "--family", "alamouti", "--out", "r.json", "--manifest", "r.json"],
+            ["analyze", "--family", "alamouti", "--constellation", "bpsk", "--out", "a.json", "--manifest", "a.json"],
+            ["simulate", "--family", "alamouti", "--trials", "5", "--snr-db", "10", "--out", "out.csv",
+             "--manifest", "out.csv"],
+            ["dmg", "--samples", "100", "--out", "d.csv", "--manifest", "sub/../d.csv"],
+        ],
+        ids=["construct-default", "construct", "verify", "analyze", "simulate", "dmg"],
+    )  # fmt: skip
+    def test_output_and_manifest_naming_one_file_exit_two(self, tmp_path, capsys, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        ran = []
+        for module, name in [(cli, "monte_carlo_ber"), (cli, "channel_stat_samples"), (cli, "analyze_codebook"),
+                             (cli, "verify_code"), (cli.lib, "save_bundle")]:
+            monkeypatch.setattr(module, name, lambda *a, name=name, **k: ran.append(name))
+        assert run(args) == 2
+        captured = capsys.readouterr()
+        assert ran == [] and captured.out == ""
+        assert captured.err.startswith("error: the output ") and captured.err.endswith(" name the same file\n")
+        assert captured.err.count("\n") == 1 and list(tmp_path.iterdir()) == []
+
+    def test_dmg_sample_sets_past_half_of_memory_exit_two_before_drawing(self, tmp_path, capsys, monkeypatch):
+        # 1000 relays and samples: each set takes 8 * (1000 + 1000 * (2 * 1000 + 1000)) bytes, 24 MB
+        drawn = []
+        real = cli.channel_stat_samples
+        monkeypatch.setattr(cli, "channel_stat_samples", lambda *a: drawn.append(a) or real(*a))
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 128 * 2**20)
+        args = ["dmg", "--relays", 1000, "--samples", 1000, "--out", tmp_path / "x.csv"]
+        assert run(args + ["--threads", 2]) == 2  # two workers, four sets in flight: 96 MB > 64 MiB
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+        assert "4 sample sets, each an array of shape (1000,) and buffers of shape (1000, 1000)" in err
+        assert "--relays" in err and "--samples" in err
+        assert drawn == [] and list(tmp_path.iterdir()) == []
+        assert run(args + ["--threads", 1]) == 0  # one worker, two sets: 48 MB
+        # the samples count too: one relay and 10**7 samples take 81 MB a set, 162 MB for one worker
+        assert run(["dmg", "--relays", 1, "--samples", 10**7, "--threads", 1, "--out", tmp_path / "y.csv"]) == 2
+        assert "2 sample sets, each an array of shape (10000000,)" in capsys.readouterr().err
+        monkeypatch.setattr(cli, "_physical_memory", lambda: None)  # no memory figure: nothing is refused
+        assert run(args + ["--threads", 2]) == 0
+        assert cli.sample_set_size(1000, 1000) == ((1000, 1000), 24_008_000)
+
+    def test_physical_memory_is_known_here_or_none(self):
+        memory = cli._physical_memory()
+        assert memory is None or memory > 0
+
+    def test_codeword_index_is_refused_before_any_weight_is_stacked(self, tmp_path, capsys, monkeypatch):
+        # alamouti x100 on BPSK: 2**200 codewords, refused before its 0.5 GB of dense weights are stacked
+        def fail(self):
+            raise AssertionError("real_weights called")
+
+        monkeypatch.setattr(cli.lib.LinearDispersionCode, "real_weights", fail)
+        args = ["simulate", "--family", "alamouti", "--blocks", 100, "--constellation", "bpsk", "--trials", 4]
+        assert run(args + ["--out", tmp_path / "x.csv"]) == 2
+        assert capsys.readouterr().err == f"error: {2**200} codewords do not fit a 64-bit codeword index\n"
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ParameterError, match="64-bit codeword index"):
+            relay_channel_sim.SimConfig(block_diagonal_extend(alamouti(), 32), Constellation.bpsk(), (10.0,), (4,), 0)
