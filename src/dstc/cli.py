@@ -25,7 +25,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from functools import cache
 
 import numpy as np
@@ -43,7 +42,7 @@ from .diversity_analyzer import (
     enumerate_codebook,
     optimize_rotation,
 )
-from .dmg_analysis import OUTAGE_SEED_STRIDE, channel_stat_samples, ks_two_sample, outage_fraction, sample_set_size
+from .dmg_analysis import dmg_rows
 from .errors import ParameterError
 from .matrix_core import RANK_TOL
 from .relay_channel_sim import SimConfig, monte_carlo_ber
@@ -133,14 +132,6 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where ``os.sysconf`` cannot tell (Windows has no sysconf)."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
 def _process_record() -> dict:
     """The process's peak resident set so far in MiB (None without ``resource``) and its versions."""
     import platform  # only simulate and dmg manifests need these two, so `import dstc.cli` stays lean
@@ -162,11 +153,15 @@ def _manifest_path(args, default_stem: str) -> str:
     return f"{args.out}.manifest.json" if args.out else f"{default_stem}.manifest.json"
 
 
-def _check_writable(out: str | None, manifest: str | None) -> None:
-    """Refuse an output and manifest naming one file; raise the OSError writing either would, leaving no new file."""
+def _check_writable(args, out: str | None, manifest: str | None) -> None:
+    """Refuse outputs naming one file or an input file; raise the OSError writing either would, leaving no new file."""
     if out and manifest and os.path.realpath(out) == os.path.realpath(manifest):
         raise ParameterError(f"the output {out} and the manifest {manifest} name the same file")
+    inputs = {os.path.realpath(path): path for path in (getattr(args, "bundle", None), args.config) if path}
     for path in filter(None, (out, manifest)):
+        source = inputs.get(os.path.realpath(path))
+        if source:
+            raise ParameterError(f"the output {path} would overwrite the input {source}")
         existed = os.path.exists(path)
         open(path, "a").close()  # appends nothing: an existing file keeps its bytes
         if not existed:
@@ -190,7 +185,7 @@ def _emit(text: str, out: str | None, echo: bool) -> None:
 def cmd_construct(args) -> int:
     code = make_code(args.family, args.bundle, args.blocks)
     out = args.out or f"{code.name}.json"
-    _check_writable(out, args.manifest)
+    _check_writable(args, out, args.manifest)
     digest = _sha256(lib.save_bundle(code, out).encode())
     print(f"wrote {out} (T={code.T}, N={code.N}, K={code.K}, sha256={digest[:16]})")
     if args.manifest:
@@ -199,7 +194,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _check_writable(args.out, args.manifest)
+    _check_writable(args, args.out, args.manifest)
     code = make_code(args.family, args.bundle, args.blocks)
     expect_cuw = args.family in _CUW_FAMILIES and args.blocks == 1
     report = verify_code(code, tol_diag=args.tol_diag, expect_cuw=expect_cuw)
@@ -209,18 +204,16 @@ def cmd_verify(args) -> int:
     if args.manifest:  # the report's hash is that of the --out file
         hashes = {"bundle": _bundle_sha256(code), "report": _sha256(text.encode())}
         _write_manifest(args.manifest, "verify", vars(args), args.started, hashes)
-    if not report.ok:
-        for line in report.failures():
-            print(f"FAIL: {line}", file=sys.stderr)
-        return 1
-    return 0
+    for line in report.failures():
+        print(f"FAIL: {line}", file=sys.stderr)
+    return 0 if report.ok else 1
 
 
 def cmd_analyze(args) -> int:
     if args.rot_trials < 0:
         raise ParameterError(f"--rot-trials must be nonnegative, got {args.rot_trials}")
     manifest = _manifest_path(args, "analyze")
-    _check_writable(args.out, manifest)
+    _check_writable(args, args.out, manifest)
     code = make_code(args.family, args.bundle, args.blocks, warn=True)
     rotation_hash = None
     if args.rotate:
@@ -259,7 +252,7 @@ def cmd_simulate(args) -> int:
         if value < 1:
             raise ParameterError(f"{flag} must be positive, got {value}")
     manifest = _manifest_path(args, "simulate")
-    _check_writable(args.out, manifest)
+    _check_writable(args, args.out, manifest)
     code = make_code(args.family, args.bundle, args.blocks, warn=True)
     if args.relays is not None and args.relays != code.N:
         raise ParameterError(f"family {code.name!r} uses {code.N} relays, not {args.relays}")
@@ -292,15 +285,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-_DMG_OUTAGE_OFFSET = 104729  # seed offset of the outage run without phase compensation
-
-
 def cmd_dmg(args) -> int:
-    top = _DMG_OUTAGE_OFFSET + OUTAGE_SEED_STRIDE * max(len(args.rho) - 1, 0)  # largest seed offset used
-    if not 0 <= args.seed < (1 << 64) - top:
-        raise ParameterError(
-            f"--seed must lie in [0, {(1 << 64) - 1 - top}] with {len(args.rho)} rho values, got {args.seed}"
-        )
     for flag, value in (("--threads", args.threads), ("--relays", args.relays), ("--samples", args.samples)):
         if value < 1:
             raise ParameterError(f"{flag} must be positive, got {value}")
@@ -312,51 +297,10 @@ def cmd_dmg(args) -> int:
     if not np.isfinite(args.rate):
         raise ParameterError(f"--rate must be finite, got {args.rate}")
     manifest = _manifest_path(args, "dmg")
-    _check_writable(args.out, manifest)
-
-    # a sample set is keyed (seed, rho, partial_csi): per rho number k a KS pair, then the outage
-    # draws with and without phase compensation, from seed + k * stride as empirical_outage draws
-    # rho number k of its grid. The KS pair at k = 0 and the phase-CSI outage there are one set.
-    ks_sets = [
-        ((args.seed + 2 * k, rho, True), (args.seed + 2 * k + 1, rho, False)) for k, rho in enumerate(args.rho)
-    ]
-    outage_sets = [
-        (args.seed + offset + OUTAGE_SEED_STRIDE * k, rho, partial_csi)
-        for k, rho in enumerate(args.rho)
-        for offset, partial_csi in ((0, True), (_DMG_OUTAGE_OFFSET, False))
-    ]
-    # one job per KS pair and per outage set no pair holds: each distinct set is drawn once, by the
-    # job that computes every statistic reading it, and a job holds at most two sets, so memory
-    # grows with the workers, not with the rho grid
-    owner = {key: pair for pair in ks_sets for key in pair}
-    jobs = {pair: [] for pair in ks_sets}  # the sets a job draws -> the outage positions it computes; KS jobs first
-    for i, key in enumerate(outage_sets):
-        jobs.setdefault(owner.get(key, (key,)), []).append(i)
-
-    def run(sets, outages):
-        samples = {key: channel_stat_samples(args.relays, key[1], args.samples, key[2], key[0]) for key in sets}
-        ks = ks_two_sample(*(s.values for s in samples.values()), alpha=0.01) if len(sets) == 2 else None
-        return ks, [(i, outage_fraction(samples[outage_sets[i]], args.rate)) for i in outages]
-
-    workers = min(args.threads, len(jobs))
-    # np.empty succeeds past memory under overcommit, and the draws then get the process killed: refuse such
-    # sets here, counting two per worker
-    (shape, need), memory, sets = sample_set_size(args.relays, args.samples), _physical_memory(), 2 * workers
-    if memory is not None and sets * need > memory / 2:
-        raise ParameterError(
-            f"Unable to allocate {sets * need / 2**30:.3g} GiB for {sets} sample sets, each an array of shape "
-            f"({args.samples},) and buffers of shape {shape}: over half of the {memory / 2**30:.3g} GiB of "
-            "physical memory; lower --relays or --samples"
-        )
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, jobs, jobs.values()))
-    else:
-        results = list(map(run, jobs, jobs.values()))
-    outage = dict(pair for _, fractions in results for pair in fractions)  # outage position -> fraction
+    _check_writable(args, args.out, manifest)
+    rows, workers = dmg_rows(args.relays, args.rho, args.rate, args.samples, args.seed, args.threads)
     lines = ["rho,ks_stat,reject,outage_phase_csi,outage_full_f"]
-    for k, rho in enumerate(args.rho):
-        (stat, reject), outage_a, outage_b = results[k][0], outage[2 * k], outage[2 * k + 1]
+    for rho, stat, reject, outage_a, outage_b in rows:
         lines.append(
             f"{_csv_float(rho)},{_csv_float(stat)},{int(reject)},"
             f"{_csv_float(outage_a)},{_csv_float(outage_b)}"
@@ -379,8 +323,15 @@ def _add_code_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--blocks", type=int, default=1, help="block-diagonal copies of the base design")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise, so they leave ``main`` through its one error handler."""
+
+    def error(self, message):
+        raise ParameterError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dstc",
         description="Distributed space-time codes for amplify-and-forward relay networks "
         "with phase-only CSI: construction, verification, analysis, simulation.",
@@ -443,13 +394,18 @@ _DISPATCH = {
 }
 
 
-def _apply_config(parser: argparse.ArgumentParser, args, argv: list, defaults) -> None:
-    """Set each option of the subcommand that the config names and the command line leaves out.
+def _apply_config(parser: argparse.ArgumentParser, args, argv: list) -> None:
+    """Set each option of the subcommand that the ``--config`` file names and the command line leaves out.
 
     A value takes its flag's parse, a list joined with commas, so a config
     value means what the same text means on the command line. Keys the
     subcommand lacks are skipped, and null leaves the option at its default.
     """
+    try:
+        with open(args.config) as fh:
+            defaults = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not text
+        raise ParameterError(f"cannot read config: {exc}") from None
     if not isinstance(defaults, dict):
         raise ParameterError(f"config must be a JSON object of option values, got {type(defaults).__name__}")
     (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -483,21 +439,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _parser()
-    try:
+    try:  # -h is the one exit argparse still makes itself, a SystemExit of 0
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                defaults = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return 2
-    args.started = time.time()
-    try:
+        args.started = time.time()
         if args.config:
-            _apply_config(parser, args, argv, defaults)
+            _apply_config(parser, args, argv)
         return _DISPATCH[args.command](args)
     except (ValueError, OSError, MemoryError) as exc:  # bad input, a file not read or written, a size not allocated
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)  # numpy names the array's bytes and shape

@@ -175,13 +175,7 @@ class ConstraintReport:
 
     @property
     def ok(self) -> bool:
-        flags = [r.dispersion_diagonal and r.power_ok for r in self.relays]
-        flags += [self.structure.single_term_entries, self.structure.single_use_per_column]
-        if self.cuw_relations is not None:
-            flags += list(self.cuw_relations)
-        if self.c1q_zero_diag is not None:
-            flags.append(self.c1q_zero_diag)
-        return all(flags)
+        return not self.failures()
 
     def failures(self) -> list[str]:
         out = []
@@ -203,7 +197,7 @@ class ConstraintReport:
                 "first quadrature weight commutes with in-phase weights",
             )
             out += [f"unitary-weight relation failed: {n}" for n, okf in zip(names, self.cuw_relations) if not okf]
-        if self.c1q_zero_diag is False:
+        if self.c1q_zero_diag is not None and not self.c1q_zero_diag:
             out.append("first quadrature weight has nonzero diagonal")
         return out
 

@@ -8,16 +8,25 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from dstc import cli, diversity_analyzer, relay_channel_sim
+from dstc import cli, diversity_analyzer, dmg_analysis, relay_channel_sim
 from dstc.cli import main
 from dstc.code_library import alamouti, block_diagonal_extend, cuw_ssd, load_bundle, to_bundle
 from dstc.diversity_analyzer import Constellation, optimize_rotation
-from dstc.dmg_analysis import OUTAGE_SEED_STRIDE, channel_stat_samples, empirical_outage, ks_two_sample
+from dstc.dmg_analysis import channel_stat_samples, empirical_outage, ks_two_sample
 from dstc.errors import ParameterError
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def record_work(monkeypatch) -> list:
+    """Stub out the calls that do each subcommand's work; the list collects the names of those called."""
+    ran = []
+    for module, name in [(cli, "monte_carlo_ber"), (dmg_analysis, "channel_stat_samples"), (cli, "analyze_codebook"),
+                         (cli, "verify_code"), (cli.lib, "save_bundle")]:
+        monkeypatch.setattr(module, name, lambda *a, name=name, **k: ran.append(name))
+    return ran
 
 
 class TestConstructAndBundles:
@@ -346,20 +355,20 @@ class TestDmg:
         assert lines[0] == "rho,ks_stat,reject,outage_phase_csi,outage_full_f"
         assert all(line.split(",")[2] == "0" for line in lines[1:])
 
-    def test_one_pool_per_call_and_none_for_one_thread(self, tmp_path, monkeypatch, capsys):
+    def test_each_call_runs_one_pool_of_min_threads_and_jobs(self, tmp_path, monkeypatch, capsys):
         pools = []
-        real_pool = cli.ThreadPoolExecutor
+        real_pool = dmg_analysis.ThreadPoolExecutor
 
         def counting_pool(max_workers):
             pools.append(max_workers)
             return real_pool(max_workers=max_workers)
 
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", counting_pool)
+        monkeypatch.setattr(dmg_analysis, "ThreadPoolExecutor", counting_pool)
         args = ["dmg", "--relays", 2, "--rho", "1,10", "--samples", 3000, "--seed", 8]
         outs = [tmp_path / f"{threads}.csv" for threads in (8, 2, 1)]
         for threads, out in zip((8, 2, 1), outs):
             assert run(args + ["--threads", threads, "--out", out]) == 0
-        assert pools == [5, 2]  # five jobs for two rho values in one pool; one thread runs inline
+        assert pools == [5, 2, 1]  # five jobs for two rho values in one pool of at most that many workers
         assert len({out.read_bytes() for out in outs}) == 1
         assert run(args + ["--threads", 0, "--out", tmp_path / "x.csv"]) == 2
         err = capsys.readouterr().err
@@ -378,13 +387,13 @@ class TestDmg:
     @pytest.mark.parametrize("rho", ["5", "2,2,30", "1,10,100,1000"])
     def test_each_sample_set_is_drawn_once(self, tmp_path, monkeypatch, rho):
         drawn = []
-        real = cli.channel_stat_samples
+        real = dmg_analysis.channel_stat_samples
 
         def spy(n_relays, rho, n, partial_csi, seed):
             drawn.append((seed, rho, partial_csi))
             return real(n_relays, rho, n, partial_csi, seed)
 
-        monkeypatch.setattr(cli, "channel_stat_samples", spy)
+        monkeypatch.setattr(dmg_analysis, "channel_stat_samples", spy)
         assert run(["dmg", "--rho", rho, "--samples", 500, "--threads", 2, "--out", tmp_path / "x.csv"]) == 0
         # per rho value a KS pair and two outage sets, of which the first outage at rho number 0 is the KS pair's first
         assert len(drawn) == len(set(drawn)) == 4 * len(rho.split(",")) - 1
@@ -393,14 +402,15 @@ class TestDmg:
     def per_job_csv(relays, rhos, samples, seed):
         """The CSV as drawn with one job per statistic, each drawing its own sample sets."""
         lines = ["rho,ks_stat,reject,outage_phase_csi,outage_full_f"]
+        curves = [
+            empirical_outage(relays, rhos, 0.5, samples, s, csi)
+            for s, csi in ((seed, True), (seed + dmg_analysis._FULL_F_OFFSET, False))
+        ]
         for k, rho in enumerate(rhos):
             a = channel_stat_samples(relays, rho, samples, True, seed + 2 * k).values
             b = channel_stat_samples(relays, rho, samples, False, seed + 2 * k + 1).values
             stat, reject = ks_two_sample(a, b, alpha=0.01)
-            outage = [
-                empirical_outage(relays, [rho], 0.5, samples, s + OUTAGE_SEED_STRIDE * k, csi)[0]
-                for s, csi in ((seed, True), (seed + cli._DMG_OUTAGE_OFFSET, False))
-            ]
+            outage = [curve[k] for curve in curves]
             lines.append(f"{float(rho)!r},{float(stat)!r},{int(reject)},{float(outage[0])!r},{float(outage[1])!r}")
         return "\n".join(lines) + "\n"
 
@@ -572,6 +582,43 @@ class TestFlagsAndBadInput:
         assert run([*args, "--out", tmp_path / "x"]) == 2
 
     @pytest.mark.parametrize(
+        "args", [[], ["construct"], ["verify"], ["analyze"], ["simulate"], ["dmg"]], ids=lambda a: a[0] if a else "top"
+    )
+    def test_help_exits_zero(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            run([*args, "-h"])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"usage: dstc {' '.join(args)}".rstrip()) and captured.err == ""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["construct", "--bundle", "b.json", "--out", "b.json"],
+            ["verify", "--bundle", "b.json", "--out", "./b.json"],
+            ["analyze", "--bundle", "b.json", "--constellation", "bpsk", "--manifest", "b.json"],
+            ["simulate", "--bundle", "b.json", "--trials", "10", "--snr-db", "10", "--manifest", "b.json"],
+            ["--config", "cfg.json", "simulate", "--family", "alamouti", "--trials", "10", "--out", "cfg.json"],
+            ["--config", "cfg.json", "dmg", "--samples", "100", "--out", "sub/../cfg.json"],
+        ],
+        ids=["construct", "verify", "analyze", "simulate-bundle", "simulate-config", "dmg"],
+    )
+    def test_output_naming_an_input_exits_two_and_keeps_the_input(self, tmp_path, capsys, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        assert run(["construct", "--family", "alamouti", "--out", "b.json"]) == 0
+        (tmp_path / "cfg.json").write_text(json.dumps({"seed": 1}))
+        inputs = {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+        capsys.readouterr()
+        ran = record_work(monkeypatch)
+        assert run(args) == 2
+        captured = capsys.readouterr()
+        assert ran == [] and captured.out == ""
+        assert captured.err.startswith("error: the output ") and captured.err.count("\n") == 1
+        assert " would overwrite the input " in captured.err
+        assert {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == inputs
+
+    @pytest.mark.parametrize(
         "args, prefix",
         [
             (["analyze", "--family", "ciod4", "--tol-rank", "-1"], "error: "),
@@ -589,14 +636,20 @@ class TestFlagsAndBadInput:
             (["analyze", "--family", "cod8", "--constellation", "qam16"],
              "error: the full pair scan takes at most 4096 codewords (got 65536); in dstc analyze, choose a smaller "
              "--constellation or fewer --blocks"),
+            (["simulate", "--chunk", "abc"], "error: argument --chunk: "),
+            (["simulate", "--bogus"], "error: unrecognized arguments: --bogus"),
+            (["dmg", "--rho", "x"], "error: argument --rho: "),
+            (["analyze", "--group-size", "3"], "error: argument --group-size: "),
+            ([], "error: the following arguments are required: command"),
         ],
         ids=["tol-rank-negative", "tol-rank-nan", "tol-diag-nan", "pi-nan", "snr-nan", "snr-overflow", "blocks-0",
-             "blocks-negative", "relays-0", "rot-trials-negative", "chunk-0", "threads-0", "pair-scan-budget"],
+             "blocks-negative", "relays-0", "rot-trials-negative", "chunk-0", "threads-0", "pair-scan-budget",
+             "chunk-text", "unknown-flag", "rho-text", "group-size-choice", "no-subcommand"],
     )
     def test_bad_input_exits_two_with_one_line(self, tmp_path, capsys, args, prefix):
-        assert run([*args, "--out", tmp_path / "x"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(prefix) and err.count("\n") == 1
+        assert run([*args, "--out", tmp_path / "x"] if args else []) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(prefix) and captured.err.count("\n") == 1 and captured.out == ""
 
     @pytest.mark.parametrize(
         "args, shape",
@@ -653,10 +706,7 @@ class TestFlagsAndBadInput:
     )
     def test_output_paths_are_checked_before_any_trial(self, tmp_path, capsys, monkeypatch, args):
         monkeypatch.chdir(tmp_path)
-        ran = []
-        for module, name in [(cli, "monte_carlo_ber"), (cli, "channel_stat_samples"), (cli, "analyze_codebook"),
-                             (cli, "verify_code"), (cli.lib, "save_bundle")]:
-            monkeypatch.setattr(module, name, lambda *a, name=name, **k: ran.append(name))
+        ran = record_work(monkeypatch)
         assert run(args) == 2
         captured = capsys.readouterr()
         assert ran == [] and captured.out == ""
@@ -680,10 +730,7 @@ class TestFlagsAndBadInput:
     )  # fmt: skip
     def test_output_and_manifest_naming_one_file_exit_two(self, tmp_path, capsys, monkeypatch, args):
         monkeypatch.chdir(tmp_path)
-        ran = []
-        for module, name in [(cli, "monte_carlo_ber"), (cli, "channel_stat_samples"), (cli, "analyze_codebook"),
-                             (cli, "verify_code"), (cli.lib, "save_bundle")]:
-            monkeypatch.setattr(module, name, lambda *a, name=name, **k: ran.append(name))
+        ran = record_work(monkeypatch)
         assert run(args) == 2
         captured = capsys.readouterr()
         assert ran == [] and captured.out == ""
@@ -693,9 +740,9 @@ class TestFlagsAndBadInput:
     def test_dmg_sample_sets_past_half_of_memory_exit_two_before_drawing(self, tmp_path, capsys, monkeypatch):
         # 1000 relays and samples: each set takes 8 * (1000 + 1000 * (2 * 1000 + 1000)) bytes, 24 MB
         drawn = []
-        real = cli.channel_stat_samples
-        monkeypatch.setattr(cli, "channel_stat_samples", lambda *a: drawn.append(a) or real(*a))
-        monkeypatch.setattr(cli, "_physical_memory", lambda: 128 * 2**20)
+        real = dmg_analysis.channel_stat_samples
+        monkeypatch.setattr(dmg_analysis, "channel_stat_samples", lambda *a: drawn.append(a) or real(*a))
+        monkeypatch.setattr(dmg_analysis, "_physical_memory", lambda: 128 * 2**20)
         args = ["dmg", "--relays", 1000, "--samples", 1000, "--out", tmp_path / "x.csv"]
         assert run(args + ["--threads", 2]) == 2  # two workers, four sets in flight: 96 MB > 64 MiB
         err = capsys.readouterr().err
@@ -707,12 +754,12 @@ class TestFlagsAndBadInput:
         # the samples count too: one relay and 10**7 samples take 81 MB a set, 162 MB for one worker
         assert run(["dmg", "--relays", 1, "--samples", 10**7, "--threads", 1, "--out", tmp_path / "y.csv"]) == 2
         assert "2 sample sets, each an array of shape (10000000,)" in capsys.readouterr().err
-        monkeypatch.setattr(cli, "_physical_memory", lambda: None)  # no memory figure: nothing is refused
+        monkeypatch.setattr(dmg_analysis, "_physical_memory", lambda: None)  # no memory figure: nothing is refused
         assert run(args + ["--threads", 2]) == 0
-        assert cli.sample_set_size(1000, 1000) == ((1000, 1000), 24_008_000)
+        assert dmg_analysis._sample_set_size(1000, 1000) == ((1000, 1000), 24_008_000)
 
     def test_physical_memory_is_known_here_or_none(self):
-        memory = cli._physical_memory()
+        memory = dmg_analysis._physical_memory()
         assert memory is None or memory > 0
 
     def test_codeword_index_is_refused_before_any_weight_is_stacked(self, tmp_path, capsys, monkeypatch):
