@@ -25,7 +25,7 @@ import json
 import os
 import sys
 import time
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -112,12 +112,15 @@ def _write_manifest(
         fh.write("\n")
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _number_list(number, kind: str, text: str) -> list:
+    """A list flag's type: comma-separated values, empty items skipped."""
+    try:
+        return [number(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:  # argparse prints this message, where for a ValueError it would name the type function
+        raise argparse.ArgumentTypeError(f"expected comma-separated {kind}, got {text!r}") from None
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+_float_list, _int_list = partial(_number_list, float, "numbers"), partial(_number_list, int, "integers")
 
 
 def _csv_float(x: float) -> str:
@@ -289,8 +292,6 @@ def cmd_dmg(args) -> int:
     for flag, value in (("--threads", args.threads), ("--relays", args.relays), ("--samples", args.samples)):
         if value < 1:
             raise ParameterError(f"{flag} must be positive, got {value}")
-    if not args.rho:
-        raise ParameterError("--rho needs at least one value")
     bad_rho = [rho for rho in args.rho if not (np.isfinite(rho) and rho >= 0)]
     if bad_rho:
         raise ParameterError(f"--rho values must be finite and nonnegative, got {bad_rho[0]}")
@@ -420,12 +421,10 @@ def _apply_config(parser: argparse.ArgumentParser, args, argv: list) -> None:
                 raise ParameterError(f"config {key!r} must be true or false, got {value!r}")
         else:
             text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
-            try:
-                value = action.type(text) if action.type else text
-            except (TypeError, ValueError):
-                raise ParameterError(f"config {key!r}: {text!r} is not a valid {flag} value") from None
-            if action.choices is not None and value not in action.choices:
-                raise ParameterError(f"config {key!r}: {flag} must be one of {list(action.choices)}, got {value!r}")
+            try:  # the flag's own parse of the text: its type, its choices and its message
+                value = getattr(subcommands.choices[args.command].parse_args([f"{flag}={text}"]), action.dest)
+            except ParameterError as exc:
+                raise ParameterError(f"config {key!r}: {exc}") from None
         setattr(args, action.dest, value)
 
 
@@ -444,6 +443,9 @@ def main(argv=None) -> int:
         args.started = time.time()
         if args.config:
             _apply_config(parser, args, argv)
+        for dest, value in vars(args).items():  # a list flag of "," or an empty config list has no value
+            if value == []:
+                raise ParameterError(f"--{dest.replace('_', '-')} needs at least one value")
         return _DISPATCH[args.command](args)
     except (ValueError, OSError, MemoryError) as exc:  # bad input, a file not read or written, a size not allocated
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)  # numpy names the array's bytes and shape

@@ -32,15 +32,16 @@ codes are decoded symbol by symbol. For a group of symbols that the code's
 metric ties together, a bound on the cross-symbol terms certifies most
 trials' per-symbol best points as the joint ML decision; the other trials
 score only the tuples of points whose per-symbol excess over the best stays
-within that bound, and ties go to the lowest codeword. No decoder array
-grows with the codebook, so its size is bounded only by the 64-bit codeword
-index. The tables depend only on the code, the constellation and the CSI
-mode; they are built once per distinct content and kept in a byte-bounded
-cache shared by every call. While a call runs, numpy's OpenBLAS is held at
-one thread whatever the number of workers, so the worker pool is the
-kernel's only parallelism: the workers do not oversubscribe the cores, and
-a one-worker call's small GEMMs leave no busy BLAS thread behind to slow
-the caller's next work.
+within that bound, and ties go to the lowest codeword. Trials are sent and
+decided as one digit per symbol, so no decoder array grows with the
+codebook, whose size is bounded only by the drawn 64-bit codeword index.
+The tables depend only on the code and the constellation, not on the CSI
+mode; each is built once and kept in a byte-bounded cache shared by every
+call. While a call runs, numpy's OpenBLAS is held at one thread whatever
+the number of workers, so the worker pool is the kernel's only
+parallelism: the workers do not oversubscribe the cores, and a one-worker
+call's small GEMMs leave no busy BLAS thread behind to slow the caller's
+next work.
 """
 
 from __future__ import annotations
@@ -585,8 +586,8 @@ class _Kernel:
     excess over the symbols' best metrics is within the same bound, so a
     prefix of points already past it is dropped, only the full tuples within
     it are scored, and ties go to the lowest codeword as in an argmin over
-    the codebook. The sent symbols and their digits come from the codeword
-    index, so no kernel array grows with the codebook.
+    the codebook. Trials are sent, decided and counted as symbol digits, so
+    no kernel array grows with the codebook.
 
     Under the ``scalar`` and ``diagonal`` noise paths the cooperation noise
     is white within each group of slots that share a per-relay noise
@@ -606,8 +607,7 @@ class _Kernel:
     built. Read-only once built, so concurrent callers may share one.
     """
 
-    def __init__(self, code: LinearDispersionCode, con: Constellation, partial_csi: bool):
-        self.partial_csi = partial_csi
+    def __init__(self, code: LinearDispersionCode, con: Constellation):
         self.r, self.t2, self.t1 = r, t2, k = code.N, code.T, code.K
         self.m, self.L = m, codewords = con.size, con.size**k
         _check_codewords(codewords)
@@ -657,7 +657,6 @@ class _Kernel:
         row_bytes += 8 * width + 8 * k * m  # psi and the per-symbol metrics
         self.block_rows = max(3, (BLOCK_BYTES - PIECE_BYTES * bool(self.certified)) // row_bytes)
         self.points = _symbol_scale(code, con) * np.asarray(con.points)
-        self.place = m ** np.arange(k - 1, -1, -1)  # each symbol's digit weight in the index
         self.squares = 2 * k + np.flatnonzero(j == i)  # psi's columns of the monomials x_j^2
         self.bits_per_symbol = con.bits_per_symbol
         labels = con.bit_labels
@@ -696,21 +695,21 @@ class _Kernel:
         }
 
     def symbol_digits(self, idx: np.ndarray) -> np.ndarray:
-        """Per-symbol constellation digits (n, K) of codeword indices, first symbol most significant."""
-        return idx[:, None] // self.place % self.m
+        """Per-symbol digits (n, K) of codeword indices, first symbol most significant: b bits each, as M = 2^b."""
+        return (idx[:, None] >> self.bits_per_symbol * np.arange(self.t1 - 1, -1, -1)) & (self.m - 1)
 
-    def simulate_batch(self, pa: PowerAllocation, rng: np.random.Generator, idx: np.ndarray):
-        """Draw the channels and noise of the trials sending codewords ``idx``, one normal block."""
-        n = len(idx)
+    def simulate_batch(self, pa: PowerAllocation, partial_csi: bool, rng: np.random.Generator, digits: np.ndarray):
+        """Draw the channels (|f| under phase CSI) and noise of trials sending ``digits`` (n, K), one normal block."""
+        n = len(digits)
         block = rng.standard_normal((n, 2 * sum(self.widths))).view(np.complex128)
         block *= 1.0 / np.sqrt(2)
         g0, g, f, w1, v, w2 = np.split(block, np.cumsum(self.widths[:-1]), axis=1)
         g0, v = g0[:, 0], v.reshape(n, self.r, self.t1)
-        if self.partial_csi:
+        if partial_csi:
             f = np.abs(f)
 
         c1 = pa.broadcast_amp
-        s = self.points[self.symbol_digits(idx)]
+        s = self.points[digits]
         y1 = c1 * g0[:, None] * s + w1
         rx = (c1 * f)[:, :, None] * s[:, None, :] + v  # what each relay receives
         # sum_r g_r (A_r rx_r + B_r rx_r*) is real-linear in (Re rx, Im rx): one gemm over the (r, x) axes
@@ -779,7 +778,7 @@ class _Kernel:
         return psi
 
     def decode_batch(self, pa: PowerAllocation, g0, g, f, y1, y2) -> tuple[np.ndarray, int]:
-        """Exact ML decisions, and how many trials every multi-symbol group decided per symbol.
+        """Exact ML decisions as symbol digits (n, K), and how many trials every multi-symbol group decided per symbol.
 
         Each symbol takes its best point from one real GEMM of psi against
         ``sym_table``. A multi-symbol group keeps its symbols' best points
@@ -790,7 +789,6 @@ class _Kernel:
         n = len(psi)
         per_symbol = (psi @ self.sym_table.T).reshape(n, self.t1, self.m)
         best = np.argmin(per_symbol, axis=2)
-        dec = best @ self.place
         sure = np.full(n, bool(self.certified))
         if self.certified:
             # each symbol's best-to-second gap, from the two smallest of its M metrics
@@ -804,12 +802,11 @@ class _Kernel:
                 grp = list(grp)
                 ok = np.all(gap[:, grp] > margin[:, c : c + 1], axis=1)
                 rest = np.flatnonzero(~ok)
-                if len(rest):  # the group's share of the index becomes its best candidate's
+                if len(rest):  # the group's digits become its best candidate's
                     excess = per_symbol[rest][:, grp] - lo1[rest][:, grp, None]
-                    won = self._list_decode(grp, psi[rest], excess, margin[rest, c])
-                    dec[rest] += (won - best[rest][:, grp]) @ self.place[grp]
+                    best[np.ix_(rest, grp)] = self._list_decode(grp, psi[rest], excess, margin[rest, c])
                 sure &= ok
-        return dec, int(np.count_nonzero(sure))
+        return best, int(np.count_nonzero(sure))
 
     def _list_decode(self, grp: list, psi: np.ndarray, excess: np.ndarray, bound: np.ndarray) -> np.ndarray:
         """The points (u, G) of each trial's joint ML candidate for the symbols ``grp``, by depth-first search.
@@ -861,12 +858,12 @@ class _Kernel:
             won[th[better]] = pts[head[better]]
         return won
 
-    def run_chunk(self, pa: PowerAllocation, seed: int, snr_idx: int, chunk_idx: int, n: int):
+    def run_chunk(self, pa: PowerAllocation, partial_csi: bool, seed: int, snr_idx: int, chunk_idx: int, n: int):
         """Codeword and bit errors of one chunk, and its trials certified per symbol (see ``decode_batch``).
 
-        Its codewords are drawn first, then draw to count runs per row block.
-        The normals of consecutive blocks are the chunk's one normal block
-        drawn in pieces, so the block size does not change the counts.
+        Its codewords are drawn first, then each row block splits its own into symbol
+        digits and runs draw to count. The normals of consecutive blocks are the
+        chunk's one normal block drawn in pieces, so the block size does not change the counts.
         """
         rng = np.random.Generator(
             np.random.Philox(key=np.array([seed, (snr_idx << 32) + chunk_idx], dtype=np.uint64))
@@ -874,11 +871,11 @@ class _Kernel:
         idx = rng.integers(0, self.L, n)
         cw = bits = certified = 0
         for lo, hi in _row_blocks(n, self.block_rows):
-            sent = idx[lo:hi]
-            dec, sure = self.decode_batch(pa, *self.simulate_batch(pa, rng, sent))
-            wrong = dec != sent  # only these carry bit errors
+            sent = self.symbol_digits(idx[lo:hi])  # per block: a chunk's (n, K) digits would pass the block budget
+            got, sure = self.decode_batch(pa, *self.simulate_batch(pa, partial_csi, rng, sent))
+            wrong = np.any(got != sent, axis=1)  # only these carry bit errors
             cw += int(np.count_nonzero(wrong))
-            bits += int(self.bitdist[self.symbol_digits(sent[wrong]), self.symbol_digits(dec[wrong])].sum())
+            bits += int(self.bitdist[sent[wrong], got[wrong]].sum())
             certified += sure
         return cw, bits, certified
 
@@ -890,23 +887,23 @@ _KERNELS: OrderedDict = OrderedDict()  # content key -> _Kernel, least recently 
 _KERNELS_LOCK = threading.Lock()
 
 
-def _kernel_key(code: LinearDispersionCode, con: Constellation, partial_csi: bool) -> tuple:
+def _kernel_key(code: LinearDispersionCode, con: Constellation) -> tuple:
     """Everything a kernel is built from, by content: a code's name is not part of it."""
     weights = code.real_weights()
     points = np.asarray(con.points, dtype=complex)
-    return (weights.shape, weights.tobytes(), points.tobytes(), con.bit_labels, bool(partial_csi))
+    return (weights.shape, weights.tobytes(), points.tobytes(), con.bit_labels)
 
 
-def _cached_kernel(code: LinearDispersionCode, con: Constellation, partial_csi: bool) -> tuple[_Kernel, float, bool]:
+def _cached_kernel(code: LinearDispersionCode, con: Constellation) -> tuple[_Kernel, float, bool]:
     """The kernel for this content, the seconds spent building it now and whether it was reused."""
-    key = _kernel_key(code, con, partial_csi)
+    key = _kernel_key(code, con)
     with _KERNELS_LOCK:
         kernel = _KERNELS.get(key)
         if kernel is not None:
             _KERNELS.move_to_end(key)
             return kernel, 0.0, True
         start = time.perf_counter()
-        kernel = _Kernel(code, con, partial_csi)
+        kernel = _Kernel(code, con)
         build_s = time.perf_counter() - start
         if kernel.nbytes <= KERNEL_CACHE_BYTES:
             _KERNELS[key] = kernel
@@ -1002,7 +999,7 @@ def monte_carlo_ber(cfg: SimConfig, telemetry: dict | None = None) -> list[BerPo
     multi-symbol group decided per symbol (None when every group is a
     single symbol).
     """
-    kernel, build_s, reused = _cached_kernel(cfg.code, cfg.constellation, cfg.partial_csi)
+    kernel, build_s, reused = _cached_kernel(cfg.code, cfg.constellation)
     pas = cfg.power_allocations()
     jobs = [
         (snr_idx, ci, min(cfg.chunk, trials - ci * cfg.chunk))
@@ -1018,7 +1015,7 @@ def monte_carlo_ber(cfg: SimConfig, telemetry: dict | None = None) -> list[BerPo
     def job(spec):
         snr_idx, ci, n = spec
         start = time.perf_counter()
-        counts = kernel.run_chunk(pas[snr_idx], cfg.seed, snr_idx, ci, n)
+        counts = kernel.run_chunk(pas[snr_idx], cfg.partial_csi, cfg.seed, snr_idx, ci, n)
         return snr_idx, counts, start, time.perf_counter()
 
     workers = min(cfg.threads, len(jobs))

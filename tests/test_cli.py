@@ -313,7 +313,7 @@ class TestSimulate:
         tracemalloc.start()
         try:
             with pytest.raises(ParameterError, match="64-bit codeword index"):
-                relay_channel_sim._Kernel(code, Constellation.qpsk(), partial_csi=True)
+                relay_channel_sim._Kernel(code, Constellation.qpsk())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -650,6 +650,44 @@ class TestFlagsAndBadInput:
         assert run([*args, "--out", tmp_path / "x"] if args else []) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(prefix) and captured.err.count("\n") == 1 and captured.out == ""
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "command, flag, text, kind",
+        [("simulate", "snr-db", "10,x", "numbers"), ("simulate", "trials", "1,x", "integers"),
+         ("simulate", "trials", "1.5", "integers"), ("simulate", "pi", "1,0,x", "numbers"), ("dmg", "rho", "x", "numbers")],
+        ids=["snr-db", "trials", "trials-fraction", "pi", "rho"],
+    )  # fmt: skip
+    def test_bad_list_exits_two_naming_the_format(self, tmp_path, capsys, monkeypatch, command, flag, text, kind, where):
+        # the list parsers' own names (_float_list, _int_list) stay out of the message
+        args = [command, "--out", tmp_path / "x.csv"] + (["--family", "alamouti"] if command == "simulate" else [])
+        if where == "flag":
+            args += [f"--{flag}", text]
+            prefix = f"argument --{flag}"
+        else:  # a config value takes its flag's parse and message
+            (tmp_path / "cfg.json").write_text(json.dumps({flag.replace("-", "_"): text}))
+            args = ["--config", tmp_path / "cfg.json", *args]
+            prefix = f"config {flag.replace('-', '_')!r}: argument --{flag}"
+        ran = record_work(monkeypatch)
+        assert run(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {prefix}: expected comma-separated {kind}, got {text!r}\n"
+        assert captured.out == "" and ran == [] and not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    @pytest.mark.parametrize("flag", ["--snr-db", "--trials", "--pi"])
+    def test_empty_list_exits_two_naming_the_flag(self, tmp_path, capsys, monkeypatch, flag, where):
+        # "," parses to no value at all, as does an empty config list; dmg --rho refuses the same way
+        args = ["simulate", "--family", "alamouti", "--out", tmp_path / "x.csv"]
+        if where == "flag":
+            args += [flag, ","]
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({flag[2:].replace("-", "_"): []}))
+            args = ["--config", tmp_path / "cfg.json", *args]
+        ran = record_work(monkeypatch)
+        assert run(args) == 2
+        assert capsys.readouterr().err == f"error: {flag} needs at least one value\n"
+        assert ran == [] and not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize(
         "args, shape",

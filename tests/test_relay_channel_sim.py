@@ -6,6 +6,7 @@ import time
 import tracemalloc
 from collections import OrderedDict
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -376,14 +377,19 @@ class TestGroupDecode:
             group_ml_decode(sig, code, ((0, 1),), [np.zeros((1, 2))], ch, pa)
 
 
-def kernel_batch(code, p, n, seed, con=None, kernel=None):
+def kernel_batch(code, p, n, seed, con=None, kernel=None, partial_csi=True):
     """A kernel for ``code`` and one simulated batch of ``n`` trials at power ``p``."""
     con = con or Constellation.qpsk()
-    kernel = kernel or _Kernel(code, con, partial_csi=True)
+    kernel = kernel or _Kernel(code, con)
     pa = PowerAllocation.equal_split(code, p)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    idx = rng.integers(0, kernel.L, n)
-    return kernel, pa, kernel.simulate_batch(pa, rng, idx)
+    digits = kernel.symbol_digits(rng.integers(0, kernel.L, n))
+    return kernel, pa, kernel.simulate_batch(pa, partial_csi, rng, digits)
+
+
+def decisions(kernel, pa, batch):
+    """The codeword indices of ``decode_batch``'s symbol digits, first symbol most significant."""
+    return kernel.decode_batch(pa, *batch)[0] @ kernel.m ** np.arange(kernel.t1 - 1, -1, -1)
 
 
 def reference_decisions(code, pa, batch, con=None):
@@ -518,7 +524,7 @@ def run_chunk_peak(kernel, pa, n):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        kernel.run_chunk(pa, 26, 0, 0, n)
+        kernel.run_chunk(pa, True, 26, 0, 0, n)
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -561,12 +567,12 @@ class TestKernel:
         else:
             code = FAMILIES[name]()
         con = Constellation.qpsk()
-        kernel = _Kernel(code, con, partial_csi)
+        kernel = _Kernel(code, con)
         assert (kernel.noise_path == "general") == (name == "dense")
         pa = PowerAllocation.equal_split(code, 10.0)
         idx = np.random.default_rng(51).integers(0, kernel.L, 64)
         rng = Recording(52)
-        g0, g, f, y1, y2 = kernel.simulate_batch(pa, rng, idx)
+        g0, g, f, y1, y2 = kernel.simulate_batch(pa, partial_csi, rng, kernel.symbol_digits(idx))
         (block,) = rng.blocks
         r, k = code.N, code.K
         d_g0, d_g, d_f, w1, v, w2 = np.split(block.view(complex) / np.sqrt(2), np.cumsum([1, r, r, k, r * k]), axis=1)
@@ -590,10 +596,10 @@ class TestKernel:
         # noiseless, each trial's (y1, y2) is combined_scale * S h with h = (g0, g f); full CSI is left out,
         # as there B != 0 makes the channel differ from the decoder's model h = g f
         code, con = FAMILIES[family](), Constellation.qpsk()
-        kernel = _Kernel(code, con, partial_csi=True)
+        kernel = _Kernel(code, con)
         pa = PowerAllocation.equal_split(code, 10.0)
         idx = np.random.default_rng(40).integers(0, kernel.L, 64)
-        g0, g, f, y1, y2 = kernel.simulate_batch(pa, ChannelsOnly(41, code.N), idx)
+        g0, g, f, y1, y2 = kernel.simulate_batch(pa, True, ChannelsOnly(41, code.N), kernel.symbol_digits(idx))
         sym = codebook_symbol_vectors(code, con)[0][idx]
         for n in range(len(idx)):
             want = pa.combined_scale * dstc_matrix(code, sym[n], pa) @ np.concatenate([[g0[n]], g[n] * f[n]])
@@ -607,8 +613,7 @@ class TestKernel:
     )
     def test_batched_decoder_matches_reference(self, code):
         kernel, pa, batch = kernel_batch(code, 30.0, 200, seed=21)
-        dec = kernel.decode_batch(pa, *batch)[0]
-        assert list(dec) == reference_decisions(code, pa, batch)
+        assert list(decisions(kernel, pa, batch)) == reference_decisions(code, pa, batch)
 
     @pytest.mark.parametrize(
         "code, groups",
@@ -619,9 +624,8 @@ class TestKernel:
         kernel, pa, batch = kernel_batch(code, 10.0, 150, seed=23)
         assert kernel.noise_path == "diagonal"
         assert len(kernel.slot_groups) == groups
-        dec = kernel.decode_batch(pa, *batch)[0]
         ref = reference_decisions(code, pa, batch)
-        assert list(dec) == ref
+        assert list(decisions(kernel, pa, batch)) == ref
         assert len(set(ref)) > 1
         # the GEMM metric, each codeword's group metrics summed, is the exact metric plus a constant per trial
         gap = codeword_metrics(kernel, pa, batch) - reference_metrics(code, pa, batch)
@@ -635,7 +639,7 @@ class TestKernel:
         assert kernel.noise_path == "scalar"
         assert kernel.symbol_groups == tuple((m,) for m in range(code.K))
         old = np.argmin(old_scalar_phi(code, pa, *batch) @ old_scalar_table(code, con), axis=1)
-        assert np.array_equal(kernel.decode_batch(pa, *batch)[0], old)
+        assert np.array_equal(decisions(kernel, pa, batch), old)
         assert len(set(old.tolist())) > 1
 
     def test_row_blocks_cover_without_single_rows(self):
@@ -651,12 +655,12 @@ class TestKernel:
     def test_block_split_decoding_equals_one_gemm(self, code):
         # blocks of 4 leave a one-row remainder, blocks of 13 a two-row one
         n = 4 * 75 + 1
-        kernel = _Kernel(code, Constellation.qpsk(), partial_csi=True)
+        kernel = _Kernel(code, Constellation.qpsk())
         pa = PowerAllocation.equal_split(code, 8.0)
         counts = []
         for rows in (n, 4, 13):
             kernel.block_rows = rows
-            counts.append([kernel.run_chunk(pa, 25, 0, chunk, n) for chunk in range(3)])
+            counts.append([kernel.run_chunk(pa, True, 25, 0, chunk, n) for chunk in range(3)])
         assert counts[0] == counts[1] == counts[2]
         assert all(cw > 0 for cw, *_ in counts[0])
         assert _row_blocks(n, 4)[-2:] == [(296, 299), (299, 301)]
@@ -665,7 +669,7 @@ class TestKernel:
     def test_decode_memory_stays_under_the_block_budget(self):
         # chunk memory must not grow as chunk x codewords: cod8 needed ~100 KB per trial
         code = square_cod(8)
-        kernel = _Kernel(code, Constellation.qpsk(), partial_csi=True)
+        kernel = _Kernel(code, Constellation.qpsk())
         pa = PowerAllocation.equal_split(code, 10.0)
         peaks = {n: run_chunk_peak(kernel, pa, n) for n in (4096, 16384)}
         for n, peak in peaks.items():
@@ -674,13 +678,13 @@ class TestKernel:
         assert (peaks[16384] - peaks[4096]) / (16384 - 4096) < 8 * kernel.L
         # on 16-QAM at 0 dB more than half of the trials are decoded from lists, whose pieces share the budget
         for code in (square_cod(8), cuw_ssd(8)):
-            kernel = _Kernel(code, Constellation.qam16(), partial_csi=True)
+            kernel = _Kernel(code, Constellation.qam16())
             assert run_chunk_peak(kernel, PowerAllocation.equal_split(code, 1.0), 2048) <= BLOCK_BYTES + 8 * 2048
 
     def test_general_path_memory_stays_under_the_block_budget(self):
         # the general path held (L, 2 T2) residuals and their whitened copies for every trial of a chunk
         code = random_compliant_code(np.random.default_rng(5), t=4, n=3, k=3)
-        kernel = _Kernel(code, Constellation.qpsk(), partial_csi=True)
+        kernel = _Kernel(code, Constellation.qpsk())
         assert kernel.noise_path == "general" and kernel.L == 64
         n = 8192
         assert kernel.block_rows < n
@@ -695,7 +699,7 @@ class TestKernel:
             (cuw_ssd(8), "diagonal", 4, [list(range(6))], None),
             (clifford_4x4(), "scalar", 1, [[0], [1], [2], [3]], 1892),
         ):
-            kernel = _Kernel(code, Constellation.qpsk(), partial_csi=True)
+            kernel = _Kernel(code, Constellation.qpsk())
             assert (kernel.noise_path, len(kernel.slot_groups)) == (path, groups)
             summary = kernel.summary()
             assert summary["noise_groups"] == groups and summary["codewords"] == 4**code.K
@@ -723,7 +727,7 @@ class TestKernel:
         ids=[f"{c.name}-qpsk" for c in SINGLE_SYMBOL_CODES] + ["alamouti-qam16", "clifford4-qam16"],
     )
     def test_symbol_groups_decide_as_the_joint_table(self, code, con):
-        kernel = _Kernel(code, con, partial_csi=True)
+        kernel = _Kernel(code, con)
         assert kernel.symbol_groups == tuple((m,) for m in range(code.K)) and kernel.certified == ()
         assert len(kernel.sym_table) == code.K * con.size
         sym = codebook_symbol_vectors(code, con)[0]
@@ -733,7 +737,7 @@ class TestKernel:
             _, pa, batch = kernel_batch(code, p, n, seed=29, kernel=kernel)
             psi = kernel.coefficients(pa, *batch)
             want = np.concatenate([np.argmin(psi[lo:lo + 40] @ joint.T, axis=1) for lo in range(0, n, 40)])
-            assert np.array_equal(kernel.decode_batch(pa, *batch)[0], want)
+            assert np.array_equal(decisions(kernel, pa, batch), want)
             assert len(set(want.tolist())) > 1
 
     @pytest.mark.parametrize(
@@ -746,15 +750,15 @@ class TestKernel:
         # the per-symbol decision stands only under its certificate, the list decision elsewhere; a joint argmin
         # over the codebook is the oracle
         code = FAMILIES[family]()
-        kernel = _Kernel(code, con, partial_csi)
+        kernel = _Kernel(code, con)
         assert kernel.certified == kernel.symbol_groups == (tuple(range(code.K)),)
         assert len(kernel.sym_table) == code.K * con.size
         n = 300 if kernel.L == 4096 else 120
         rates = []
         for snr in (0.0, 5.0, 10.0, 20.0, 30.0):
-            _, pa, batch = kernel_batch(code, 10 ** (snr / 10), n, seed=32, kernel=kernel)
-            dec, sure = kernel.decode_batch(pa, *batch)
-            assert np.array_equal(dec, joint_argmin(kernel, kernel.coefficients(pa, *batch)))
+            _, pa, batch = kernel_batch(code, 10 ** (snr / 10), n, seed=32, kernel=kernel, partial_csi=partial_csi)
+            sure = kernel.decode_batch(pa, *batch)[1]
+            assert np.array_equal(decisions(kernel, pa, batch), joint_argmin(kernel, kernel.coefficients(pa, *batch)))
             rates.append(sure / n)
         # both paths ran: some trials were decoded from the lists, most were certified
         assert min(rates) < 1.0 and max(rates) > 0.5
@@ -763,8 +767,8 @@ class TestKernel:
     def test_small_groups_certified_match_the_oracle(self, code):
         kernel, pa, batch = kernel_batch(code, 10.0, 150, seed=33)
         assert kernel.certified == kernel.symbol_groups == (tuple(range(code.K)),)
-        dec, sure = kernel.decode_batch(pa, *batch)
-        assert list(dec) == reference_decisions(code, pa, batch)
+        sure = kernel.decode_batch(pa, *batch)[1]
+        assert list(decisions(kernel, pa, batch)) == reference_decisions(code, pa, batch)
         assert 0 < sure < 150
 
     @settings(max_examples=15, deadline=None)
@@ -774,7 +778,7 @@ class TestKernel:
         code = random_compliant_code(rng, t=int(rng.integers(k, 7)), k=k)
         kernel, pa, batch = kernel_batch(code, 12.0, 20, seed=seed)
         assert kernel.certified == kernel.symbol_groups == (tuple(range(k)),)
-        assert list(kernel.decode_batch(pa, *batch)[0]) == reference_decisions(code, pa, batch)
+        assert list(decisions(kernel, pa, batch)) == reference_decisions(code, pa, batch)
 
     def test_joint_and_certified_groups_together_match_the_oracle(self):
         # cod8 beside alamouti on their own relays: cod8's group is certified and has the joint rows,
@@ -794,8 +798,8 @@ class TestKernel:
         kernel, pa, batch = kernel_batch(code, 10.0, 60, seed=35)
         assert kernel.symbol_groups == ((0, 1, 2, 3), (4,), (5,)) and kernel.certified == ((0, 1, 2, 3),)
         assert len(kernel.sym_table) == 6 * 4
-        dec, sure = kernel.decode_batch(pa, *batch)
-        assert list(dec) == reference_decisions(code, pa, batch) and 0 < sure < 60
+        sure = kernel.decode_batch(pa, *batch)[1]
+        assert list(decisions(kernel, pa, batch)) == reference_decisions(code, pa, batch) and 0 < sure < 60
 
     def test_block_with_one_uncertified_trial_decides_as_the_joint_table(self):
         code = cuw_ssd(8)
@@ -806,15 +810,14 @@ class TestKernel:
         lone, certified = sure.index(0), [t for t in range(200) if sure[t] == 2][:9]
         for rows in ([lone] + certified, certified + [lone]):
             block = tuple(a[rows] for a in batch)
-            dec, sure_rows = kernel.decode_batch(pa, *block)
-            assert sure_rows == 9
-            assert np.array_equal(dec, joint_argmin(kernel, kernel.coefficients(pa, *block)))
+            assert kernel.decode_batch(pa, *block)[1] == 9
+            assert np.array_equal(decisions(kernel, pa, block), joint_argmin(kernel, kernel.coefficients(pa, *block)))
 
     def test_exact_tie_decodes_to_the_lower_codeword(self, monkeypatch):
         # psi weighs one cross monomial x_j x_i alone: every per-symbol metric is 0, so no trial is certified and
         # every codeword is a candidate; x_j x_i = -9 s^2 ties exactly on many codewords, across many pieces
         code = square_cod(8)
-        kernel = _Kernel(code, Constellation.qam16(), partial_csi=True)
+        kernel = _Kernel(code, Constellation.qam16())
         j, i = kernel.monomials
         width = kernel.sym_table.shape[1]
         assert kernel.L * 8 * width > 10 * relay_channel_sim.PIECE_BYTES  # the candidates' rows alone
@@ -829,7 +832,7 @@ class TestKernel:
             c = 8 + np.flatnonzero(psi[t, 8:])[0]
             value = psi[t, c] * reals[:, j[c - 8]] * reals[:, i[c - 8]]  # exact: one product of two points
             ties = np.flatnonzero(value == value.min())
-            assert len(ties) > 1 and dec[t] == ties[0]
+            assert len(ties) > 1 and np.array_equal(dec[t], digits[ties[0]])
         assert sure == 0
 
     def test_piece_size_does_not_change_decisions(self, monkeypatch):
@@ -839,7 +842,7 @@ class TestKernel:
         assert sure < 250
         monkeypatch.setattr(relay_channel_sim, "PIECE_BYTES", 1)
         assert np.array_equal(kernel.decode_batch(pa, *batch)[0], dec)
-        assert np.array_equal(dec, joint_argmin(kernel, kernel.coefficients(pa, *batch)))
+        assert np.array_equal(decisions(kernel, pa, batch), joint_argmin(kernel, kernel.coefficients(pa, *batch)))
 
     @pytest.mark.parametrize("case", ["few-tuples", "every-tuple"])
     def test_list_search_decides_as_the_first_lowest_tuple(self, monkeypatch, case):
@@ -847,7 +850,7 @@ class TestKernel:
         # and psi make every metric exact, so ties are many and the first lowest tuple in codeword order must win.
         # few-tuples: every point is within the bound on its own, but summed excesses admit under 2 % of the
         # tuples; every-tuple: all excesses 0, so the search visits every tuple and its stack is at its fullest
-        kernel = _Kernel(square_cod(8), Constellation.qam16(), partial_csi=True)
+        kernel = _Kernel(square_cod(8), Constellation.qam16())
         monkeypatch.setattr(kernel, "points", np.round(kernel.points / abs(kernel.points[5].real)))  # +-1, +-3
         monkeypatch.setattr(
             kernel, "sym_table", np.vstack([joint_rows(kernel, [s], np.arange(16)[:, None]) for s in range(4)])
@@ -891,7 +894,7 @@ class TestKernel:
     )  # fmt: skip
     def test_monomial_width_of_built_in_families(self, code, width):
         # the table's columns: the 2K real symbols, then the products x_j x_i that some trial weighs
-        kernel = _Kernel(code, Constellation.qpsk(), partial_csi=True)
+        kernel = _Kernel(code, Constellation.qpsk())
         j, i = kernel.monomials
         assert kernel.summary()["feature_width"] == width
         # one GEMM row pair per kept (slot group, a, b) term, one column per quadratic monomial
@@ -907,18 +910,31 @@ class TestKernel:
     )
     def test_kernel_holds_no_per_codeword_array(self, code, joint):
         # symbols and digits come from the codeword index, and a joint group's candidates from per-symbol lists
-        kernel = _Kernel(code, Constellation.qpsk(), partial_csi=True)
+        kernel = _Kernel(code, Constellation.qpsk())
         arrays = [v for value in vars(kernel).values() for v in (value if isinstance(value, tuple) else (value,))]
         assert [v for v in arrays if isinstance(v, np.ndarray) and kernel.L in v.shape] == []
         assert len(kernel.sym_table) == code.K * 4 and bool(kernel.certified) == joint
         idx = np.arange(kernel.L)
         assert np.array_equal(kernel.symbol_digits(idx), codebook_symbol_vectors(code, Constellation.qpsk())[1])
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), m=st.sampled_from([2, 4, 16]))
+    def test_digit_split_is_the_base_m_expansion(self, data, m):
+        # the split reads only the kernel's M, K and bits per symbol; K runs up to the largest that the
+        # 64-bit codeword index allows (62, 31 and 15), where M^K - 1 is the largest index drawn
+        most = max(k for k in range(1, 64) if m**k < 2**63)
+        k = data.draw(st.sampled_from([most]) | st.integers(1, most), label="k")
+        idx = data.draw(st.lists(st.integers(0, m**k - 1), min_size=1, max_size=20), label="idx") + [m**k - 1]
+        idx = np.array(idx, dtype=np.int64)
+        shape = SimpleNamespace(m=m, t1=k, bits_per_symbol=Constellation(f"m{m}", tuple(range(m))).bits_per_symbol)
+        place = m ** np.arange(k - 1, -1, -1)
+        assert np.array_equal(_Kernel.symbol_digits(shape, idx), idx[:, None] // place % m)
+
     @pytest.mark.parametrize("code", COUPLED_CODES, ids=lambda c: c.name)
     def test_coupled_codes_are_refused_by_the_oracle(self, code):
         # one joint group: the per-symbol partition is not ML for these codes under relay noise
         con = Constellation.qpsk()
-        assert _Kernel(code, con, partial_csi=True).symbol_groups == (tuple(range(code.K)),)
+        assert _Kernel(code, con).symbol_groups == (tuple(range(code.K)),)
         pa = PowerAllocation.equal_split(code, 10.0)
         sym, _, scale = codebook_symbol_vectors(code, con)
         groups = tuple((2 * m, 2 * m + 1) for m in range(code.K))
@@ -939,11 +955,11 @@ class TestKernel:
             start = time.perf_counter()
             try:
                 if codewords < 2**63:
-                    kernel = _Kernel(code, qam16, partial_csi=True)
+                    kernel = _Kernel(code, qam16)
                     assert kernel.L == codewords and len(kernel.sym_table) == 6 * 16 and kernel.nbytes < 2**20
                 else:
                     with pytest.raises(ParameterError, match=f"{codewords} codewords do not fit"):
-                        _Kernel(code, qam16, partial_csi=True)
+                        _Kernel(code, qam16)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -956,7 +972,7 @@ class TestKernel:
         tracemalloc.start()
         start = time.perf_counter()
         try:
-            kernel = _Kernel(code, Constellation.bpsk(), partial_csi=True)
+            kernel = _Kernel(code, Constellation.bpsk())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -974,8 +990,7 @@ class TestKernel:
         kernel, pa, batch = kernel_batch(code, 12.0, 150, seed=22)
         assert kernel.noise_path == "general"
         assert kernel.summary()["feature_width"] is None
-        dec = kernel.decode_batch(pa, *batch)[0]
-        assert list(dec) == reference_decisions(code, pa, batch)
+        assert list(decisions(kernel, pa, batch)) == reference_decisions(code, pa, batch)
 
     @pytest.mark.parametrize(
         "code, path",
@@ -992,7 +1007,7 @@ class TestKernel:
         kernel, pa, batch = kernel_batch(code, 40.0, 60, seed=31, con=con)
         assert kernel.noise_path == path
         ref = reference_decisions(code, pa, batch, con)
-        assert list(kernel.decode_batch(pa, *batch)[0]) == ref and len(set(ref)) > 1
+        assert list(decisions(kernel, pa, batch)) == ref and len(set(ref)) > 1
 
     @pytest.mark.parametrize(
         "code, joint, n",
@@ -1002,14 +1017,13 @@ class TestKernel:
     def test_qam16_per_symbol_decisions_match_the_oracle(self, code, joint, n):
         # cod4 (4096 codewords) and cod8 (65536) on 16-QAM: the trials left uncertified are decoded from the lists
         con = Constellation.qam16()
-        kernel = _Kernel(code, con, partial_csi=True)
+        kernel = _Kernel(code, con)
         assert bool(kernel.certified) == joint and len(kernel.sym_table) == code.K * 16
         sure = []
         for snr in (0.0, 20.0):
             _, pa, batch = kernel_batch(code, 10 ** (snr / 10), n, seed=36, con=con, kernel=kernel)
-            dec, certified = kernel.decode_batch(pa, *batch)
-            assert list(dec) == reference_decisions(code, pa, batch, con)
-            sure.append(certified)
+            assert list(decisions(kernel, pa, batch)) == reference_decisions(code, pa, batch, con)
+            sure.append(kernel.decode_batch(pa, *batch)[1])
         # with a multi-symbol group both paths ran: some trials certified, some decoded from the lists
         assert 0 < sum(sure) < 2 * n if joint else sure == [0, 0]
 
@@ -1017,13 +1031,12 @@ class TestKernel:
     def test_qam16_groups_of_six_decide_as_the_joint_argmin(self, family):
         # 16.7 M codewords: the lists decide as the oracle's argmin over the whole digit grid
         code = FAMILIES[family]()
-        kernel = _Kernel(code, Constellation.qam16(), partial_csi=True)
+        kernel = _Kernel(code, Constellation.qam16())
         listed = 0
         for snr in (0.0, 10.0, 20.0):
             _, pa, batch = kernel_batch(code, 10 ** (snr / 10), 7, seed=38, con=Constellation.qam16(), kernel=kernel)
-            dec, sure = kernel.decode_batch(pa, *batch)
-            assert np.array_equal(dec, joint_argmin(kernel, kernel.coefficients(pa, *batch)))
-            listed += 7 - sure
+            assert np.array_equal(decisions(kernel, pa, batch), joint_argmin(kernel, kernel.coefficients(pa, *batch)))
+            listed += 7 - kernel.decode_batch(pa, *batch)[1]
         assert listed > 5
 
     @settings(max_examples=25, deadline=None)
@@ -1033,7 +1046,7 @@ class TestKernel:
         rng = np.random.default_rng(seed)
         code = random_compliant_code(rng, t=int(rng.integers(max(k, 2), 7)), k=k)
         kernel, pa, batch = kernel_batch(code, 12.0, 20, seed=seed)
-        assert list(kernel.decode_batch(pa, *batch)[0]) == reference_decisions(code, pa, batch)
+        assert list(decisions(kernel, pa, batch)) == reference_decisions(code, pa, batch)
 
     @pytest.mark.parametrize(
         "con", [Constellation.bpsk(), Constellation.qpsk(), Constellation.qam16()], ids=lambda c: c.name
@@ -1208,27 +1221,23 @@ class TestKernelCache:
         draws = [random_compliant_code(np.random.default_rng(s), t=2, n=2, k=2) for s in (1, 2)]
         same_name = [dataclasses.replace(c, name="drawn") for c in draws]
         assert not np.array_equal(same_name[0].real_weights(), same_name[1].real_weights())
-        distinct = [
-            ((alamouti(), qpsk, True), (alamouti(), qpsk, False)),
-            ((alamouti(), qam16, True), (alamouti(), default_labels, True)),
-            ((same_name[0], qpsk, True), (same_name[1], qpsk, True)),
-        ]
+        distinct = [((alamouti(), qam16), (alamouti(), default_labels)), ((same_name[0], qpsk), (same_name[1], qpsk))]
         for one, two in distinct:
             empty_kernel_cache.clear()
             assert _cached_kernel(*one)[0] is not _cached_kernel(*two)[0]
             assert len(empty_kernel_cache) == 2
         renamed = dataclasses.replace(alamouti(), name="renamed")
-        assert _cached_kernel(renamed, qpsk, True)[0] is _cached_kernel(alamouti(), qpsk, True)[0]
+        assert _cached_kernel(renamed, qpsk)[0] is _cached_kernel(alamouti(), qpsk)[0]
 
     def test_byte_bound_keeps_small_kernels_and_evicts_least_recent(self, monkeypatch, empty_kernel_cache):
         qpsk = Constellation.qpsk()
         codes = sorted(
-            [alamouti(), clifford_4x4(), square_cod(4)], key=lambda c: _Kernel(c, qpsk, True).nbytes
+            [alamouti(), clifford_4x4(), square_cod(4)], key=lambda c: _Kernel(c, qpsk).nbytes
         )
-        small, mid, large = (_Kernel(c, qpsk, True).nbytes for c in codes)
+        small, mid, large = (_Kernel(c, qpsk).nbytes for c in codes)
         assert small < mid < large
         monkeypatch.setattr(relay_channel_sim, "KERNEL_CACHE_BYTES", small + large)
-        get = lambda c: _cached_kernel(c, qpsk, True)
+        get = lambda c: _cached_kernel(c, qpsk)
         kept_small, kept_mid = get(codes[0])[0], get(codes[1])[0]
         assert get(codes[0]) == (kept_small, 0.0, True)  # now the most recently used
         get(codes[2])
@@ -1242,13 +1251,32 @@ class TestKernelCache:
         assert get(codes[2])[2] is False and get(codes[2])[2] is False
         assert len(empty_kernel_cache) == 1 and get(codes[0])[2] is True
 
+    @pytest.mark.parametrize("family", ["alamouti", "cod8", "cuw8"])
+    def test_one_kernel_serves_both_csi_modes(self, empty_kernel_cache, family):
+        # the CSI mode reaches only the chunk's draw of f: a kernel that ran one mode gives a fresh kernel's
+        # counts in the other, and a call in the other mode reuses it
+        code, qpsk = FAMILIES[family](), Constellation.qpsk()
+        shared = _cached_kernel(code, qpsk)[0]
+        pa = PowerAllocation.equal_split(code, 10.0)
+        for csi in (True, False, True):
+            for ci in range(2):
+                assert shared.run_chunk(pa, csi, 8, 0, ci, 700) == _Kernel(code, qpsk).run_chunk(pa, csi, 8, 0, ci, 700)
+        assert _cached_kernel(code, qpsk)[0] is shared
+        runs = []
+        for csi in (True, False):
+            telemetry = {}
+            cfg = SimConfig(code=code, constellation=qpsk, snr_db=(10.0,), trials=(700,), seed=8, partial_csi=csi)
+            runs.append((monte_carlo_ber(cfg, telemetry=telemetry), telemetry["kernel_reused"]))
+        assert [reused for _, reused in runs] == [True, True] and len(empty_kernel_cache) == 1
+        assert runs[0][0] != runs[1][0]
+
     def test_largest_built_in_codebook_is_kept(self, empty_kernel_cache):
         # cuw4 --blocks 2: 65536 codewords, decoded symbol by symbol from a 32-row table
         code = block_diagonal_extend(cuw_ssd(4), 2)
-        kernel, _, reused = _cached_kernel(code, Constellation.qpsk(), True)
+        kernel, _, reused = _cached_kernel(code, Constellation.qpsk())
         assert kernel.L == 65536 and kernel.nbytes < KERNEL_CACHE_BYTES // 100
         assert not reused and len(empty_kernel_cache) == 1
-        assert _cached_kernel(code, Constellation.qpsk(), True) == (kernel, 0.0, True)
+        assert _cached_kernel(code, Constellation.qpsk()) == (kernel, 0.0, True)
 
     def test_concurrent_callers_match_serial_calls(self, empty_kernel_cache):
         # more callers than cores, switching often: exactly one of them may build the kernel
